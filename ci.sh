@@ -85,11 +85,13 @@ if [[ $quick -eq 0 ]]; then
   echo "datacenter smoke OK: $(wc -c <"$dc_s/datacenter.json") bytes, serial == parallel"
   rm -rf "$dc_s" "$dc_p"
 
-  step "scale smoke: event-driven process model under time/RSS budget"
-  # The 1024-process thread-vs-event ring plus the 4096-rank ping-ring must
-  # finish inside a fixed wall-clock budget, stay inside a fixed RSS budget
-  # (no thread-per-rank stacks), and show the event-driven model is at least
-  # 10x the legacy model in events/sec.
+  step "scale smoke: DES process model under time/RSS budget"
+  # The 1024-process token ring plus the 4096-rank ping-ring must finish
+  # inside a fixed wall-clock budget, stay inside a fixed RSS budget (no
+  # thread-per-rank stacks), and the ring's best-of-5 events/sec must stay
+  # at >= 1/4 of the committed BENCH_scale.json value. The factor covers
+  # the ~2x spread between hosts and between runs on one host (the measured
+  # spread is recorded in CHANGES.md).
   scale_dir=$(mktemp -d)
   scale_json="$scale_dir/BENCH_scale.json"
   if [[ -x /usr/bin/time ]]; then
@@ -108,9 +110,13 @@ if [[ $quick -eq 0 ]]; then
     echo "error: BENCH_scale.json missing the 4096-rank datum" >&2
     exit 1
   }
-  speedup=$(grep -o '"speedup": [0-9.]*' "$scale_json" | awk '{print $2}')
-  awk -v s="$speedup" 'BEGIN { exit !(s >= 10.0) }' || {
-    echo "error: event-driven model only ${speedup}x the legacy model (need >= 10x)" >&2
+  ring_eps() {
+    awk '/"ring_1024"/ { f = 1 } f && /"events_per_sec"/ { gsub(/,/, "", $2); print $2; exit }' "$1"
+  }
+  ring=$(ring_eps "$scale_json")
+  ring_base=$(ring_eps BENCH_scale.json)
+  awk -v r="$ring" -v b="$ring_base" 'BEGIN { exit !(r != "" && b != "" && 4 * r >= b) }' || {
+    echo "error: token ring at ${ring:-missing} events/s (need >= 1/4 of the committed ${ring_base:-missing})" >&2
     exit 1
   }
   # The trace layer's enabled-but-uninterested residual (an installed
@@ -166,7 +172,7 @@ if [[ $quick -eq 0 ]]; then
     exit 1
   }
   saving=$(grep -o '"rollback_saving": [0-9.e-]*' "$scale_json" | awk '{print $2}')
-  echo "scale smoke OK: event-driven is ${speedup}x the legacy model, NullTracer overhead ${overhead}%, flow net model ${flow_speedup}x the event model, 2-shard engine ${shard_speedup}x serial on ${host_cpus:-1} cpu(s), condemned-run rollback ${saving}x cheaper than a full rerun"
+  echo "scale smoke OK: token ring ${ring} events/s (committed ${ring_base}), NullTracer overhead ${overhead}%, flow net model ${flow_speedup}x the event model, 2-shard engine ${shard_speedup}x serial on ${host_cpus:-1} cpu(s), condemned-run rollback ${saving}x cheaper than a full rerun"
   rm -rf "$scale_dir"
 
   step "net-ablation-smoke: flow model tracks the event model on the goldens"

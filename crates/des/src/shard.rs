@@ -309,11 +309,10 @@ impl ShardedEngine {
 
             window_end.store(SHUTDOWN, Ordering::Release);
             start_barrier.wait();
-            let failed = result.is_err();
             let mut report = RunReport { end_time: SimTime::ZERO, events: 0, processes: 0 };
             for worker in workers {
                 let engine = worker.join().expect("shard worker thread panicked");
-                let r = engine.finish_windowed(failed);
+                let r = engine.finish_windowed();
                 report.end_time = report.end_time.max(r.end_time);
                 report.events += r.events;
                 report.processes += r.processes;

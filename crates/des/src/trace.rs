@@ -60,7 +60,7 @@ pub enum TraceEvent {
     ProcSpawn {
         /// The new process's id.
         pid: Pid,
-        /// The process name passed to `spawn`/`spawn_process`.
+        /// The process name passed to `spawn_process`.
         name: String,
     },
     /// The scheduler dispatched an event and handed control to the process.

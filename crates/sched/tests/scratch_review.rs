@@ -5,7 +5,9 @@ use std::sync::{Arc, Mutex};
 
 use cluster::Machine;
 use des::{FaultPlan, SimTime, TraceEvent, TraceRecord, Tracer};
-use sched::{DcConfig, DcSim, FairShare, Job, JobKind, QosClass, RuntimeMode, RuntimeModel, Tenant};
+use sched::{
+    DcConfig, DcSim, FairShare, Job, JobKind, QosClass, RuntimeMode, RuntimeModel, Tenant,
+};
 
 #[derive(Default)]
 struct Collect(Mutex<Vec<String>>);

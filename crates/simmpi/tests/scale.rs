@@ -1,7 +1,6 @@
-//! Large-rank jobs on the event-driven process model: thousands of ranks in
-//! one engine, no thread-per-rank. These counts were unreachable under the
-//! legacy model (4096 ranks would have needed 4096 OS threads); here they
-//! run in seconds inside the ordinary test harness.
+//! Large-rank jobs: thousands of ranks as coroutine processes in one engine,
+//! on one OS thread rather than one thread per rank, run in seconds inside
+//! the ordinary test harness.
 
 use simmpi::{run_mpi, JobSpec, Msg, ReduceOp};
 use soc_arch::Platform;
