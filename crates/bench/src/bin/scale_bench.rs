@@ -85,6 +85,11 @@ struct NetModelRun {
 /// events), so the event count collapses and the identical virtual workload
 /// simulates `flow_speedup`× faster in wall-clock (`ci.sh` gates
 /// `flow_speedup >= 5`).
+///
+/// The end-to-end workloads this stands for are perfbench's `fig6-flow` and
+/// the `ablate-net/*/flow` golden cells. They are HPL-dominated, with a
+/// dozen concurrent flows rather than thousands, so a win here does not
+/// imply a win there: a flow-model change is judged on `fig6-flow` as well.
 #[derive(Serialize)]
 struct NetFlowBench {
     /// Ranks in the alltoall (one per star node).

@@ -105,8 +105,8 @@ struct Route {
     len: u8,
 }
 
-impl Route {
-    fn as_slice(&self) -> &[u32] {
+impl AsRef<[u32]> for Route {
+    fn as_ref(&self) -> &[u32] {
         &self.links[..self.len as usize]
     }
 }
@@ -162,20 +162,51 @@ pub struct FlowNet {
     /// constant between mutations, so every poll at a settled state sees the
     /// same earliest transition. `None` = stale (recompute on next use).
     next_memo: Option<Option<SimTime>>,
+    /// Capacity of every link, bytes/s.
+    caps: Vec<f64>,
+    /// Started flows crossing each link. Derived from the flow table (so
+    /// not fingerprinted); it tells a re-share which changes sit on
+    /// otherwise idle links.
+    load: Vec<u32>,
+    /// Flows that started since the last re-share.
+    joined: Vec<FlowId>,
+    /// A flow finished since the last re-share while another started flow
+    /// still crossed one of its links.
+    left_busy: bool,
+    /// Reusable re-share scratch: the started flows and their routes in id
+    /// order, and the progressive-filling state.
+    started: Vec<FlowId>,
+    routes: Vec<Route>,
+    fill: Fill,
+    /// Re-shares since construction: full max-min solves and idle-link
+    /// shortcuts (diagnostic; not part of the fluid state).
+    solves: u64,
+    shortcuts: u64,
 }
 
 impl FlowNet {
     /// Build a fluid network over the same link graph as
     /// [`Network::new`]`(spec, link_bw_bytes, link_latency)`.
     pub fn new(spec: TopologySpec, link_bw_bytes: f64, link_latency: SimTime) -> FlowNet {
+        let net = Network::new(spec, link_bw_bytes, link_latency);
+        let links = net.num_links();
         FlowNet {
-            net: Network::new(spec, link_bw_bytes, link_latency),
+            net,
             now: SimTime::ZERO,
             base: 0,
             slots: VecDeque::new(),
             live: Vec::new(),
             dirty: false,
             next_memo: None,
+            caps: vec![link_bw_bytes; links],
+            load: vec![0; links],
+            joined: Vec::new(),
+            left_busy: false,
+            started: Vec::new(),
+            routes: Vec::new(),
+            fill: Fill::new(links),
+            solves: 0,
+            shortcuts: 0,
         }
     }
 
@@ -187,6 +218,11 @@ impl FlowNet {
     /// Number of flows currently registered (in flight or not yet started).
     pub fn active(&self) -> usize {
         self.live.len()
+    }
+
+    /// Re-shares so far as `(full max-min solves, idle-link shortcuts)`.
+    pub fn reshare_counts(&self) -> (u64, u64) {
+        (self.solves, self.shortcuts)
     }
 
     /// Slab index of `id`, asserting the flow is known (registered and not
@@ -217,9 +253,10 @@ impl FlowNet {
         self.settle(now);
         let id = self.base + self.slots.len() as u64;
         let (links, len) = self.net.route_arr(src, dst);
+        let route = Route { links, len };
         let starts_at = depart.max(self.now);
         self.slots.push_back(Slot::InFlight(Flow {
-            route: Route { links, len },
+            route,
             remaining: (wire_bytes as f64).max(1.0),
             rate: 0.0,
             starts_at,
@@ -230,6 +267,7 @@ impl FlowNet {
             // Re-share lazily: no simulated time can pass before the next
             // settle/poll flushes, and a dense collective starts thousands of
             // flows at one instant.
+            join(&mut self.load, &mut self.joined, id, &route);
             self.dirty = true;
         }
         id
@@ -307,23 +345,35 @@ impl FlowNet {
                 break;
             }
             self.advance_fluid(t);
-            // Finishes: move drained flows out. Several flows draining at
-            // one instant re-share once, not once each.
-            let FlowNet { ref mut live, ref mut slots, base, now, .. } = *self;
+            // Finishes move drained flows out; deferred starts activate.
+            // Several transitions at one instant re-share once, not once each.
+            let FlowNet {
+                ref mut live,
+                ref mut slots,
+                ref mut load,
+                ref mut joined,
+                ref mut left_busy,
+                base,
+                now,
+                ..
+            } = *self;
             live.retain(|&id| {
                 let slot = &mut slots[(id - base) as usize];
                 let Slot::InFlight(f) = slot else {
                     unreachable!("live list holds only in-flight flows")
                 };
-                if f.starts_at <= now && f.remaining <= DONE_EPS_BYTES {
+                if f.starts_at == now {
+                    join(load, joined, id, &f.route);
+                } else if f.starts_at < now && f.remaining <= DONE_EPS_BYTES {
+                    for &l in f.route.as_ref() {
+                        load[l as usize] -= 1;
+                        *left_busy |= load[l as usize] > 0;
+                    }
                     *slot = Slot::Done(now);
-                    false
-                } else {
-                    true
+                    return false;
                 }
+                true
             });
-            // Starts activate implicitly (`starts_at <= now`); both kinds of
-            // transition change the fair shares.
             self.reallocate();
         }
         self.advance_fluid(to);
@@ -367,7 +417,7 @@ impl FlowNet {
                     let mut t = des::mc::mix(1, f.starts_at.as_nanos());
                     t = des::mc::mix(t, f.remaining.to_bits());
                     t = des::mc::mix(t, f.rate.to_bits());
-                    for &l in f.route.as_slice() {
+                    for &l in f.route.as_ref() {
                         t = des::mc::mix(t, l as u64 + 1);
                     }
                     t
@@ -387,35 +437,74 @@ impl FlowNet {
         }
     }
 
-    /// Recompute the max-min fair rate of every started flow.
+    /// Bring every started flow's rate to its max-min fair share after the
+    /// starts and finishes since the last re-share (`joined`, `left_busy`).
+    ///
+    /// When every change sits on otherwise idle links — each joined flow is
+    /// alone on all its links, each finished flow was alone on all of its —
+    /// no solve runs: the joined flows get the full link rate and nothing
+    /// else moves. That is exactly what the full fill computes. A flow alone
+    /// on its links keeps `cap / 1 = cap` there, so it freezes at `cap` bit
+    /// for bit. Flows on disjoint links share no `cap_left` or `crossing`
+    /// entry with it, so its freeze never changes theirs; at most it inserts
+    /// a round of its own (when `cap` is the smallest share) that freezes no
+    /// one else. Adding or removing such a flow therefore moves no other
+    /// rate. Any other change runs one full fill over the started flows.
     fn reallocate(&mut self) {
         self.dirty = false;
         self.next_memo = None;
-        let now = self.now;
         let base = self.base;
-        let (started, rates) = {
-            let mut started: Vec<FlowId> = Vec::with_capacity(self.live.len());
-            let mut routes: Vec<&[u32]> = Vec::with_capacity(self.live.len());
-            for &id in &self.live {
+        let load = &self.load;
+        let idle = !self.left_busy
+            && self.joined.iter().all(|&id| {
                 let Slot::InFlight(f) = &self.slots[(id - base) as usize] else {
+                    unreachable!("joined flow is in flight")
+                };
+                f.route.as_ref().iter().all(|&l| load[l as usize] == 1)
+            });
+        if idle {
+            self.shortcuts += 1;
+            for &id in &self.joined {
+                let Slot::InFlight(f) = &mut self.slots[(id - base) as usize] else {
+                    unreachable!("joined flow is in flight")
+                };
+                f.rate = self.net.link_bw_bytes;
+            }
+        } else {
+            self.solves += 1;
+            let FlowNet { ref live, ref mut slots, ref mut started, ref mut routes, now, .. } =
+                *self;
+            started.clear();
+            routes.clear();
+            for &id in live {
+                let Slot::InFlight(f) = &slots[(id - base) as usize] else {
                     unreachable!("live list holds only in-flight flows")
                 };
                 if f.starts_at <= now {
                     started.push(id);
-                    routes.push(f.route.as_slice());
+                    routes.push(f.route);
                 }
             }
-            let caps = vec![self.net.link_bw_bytes; self.net.num_links()];
-            let rates = max_min_fill(&caps, &routes);
-            (started, rates)
-        };
-        for (id, rate) in started.into_iter().zip(rates) {
-            let Slot::InFlight(f) = &mut self.slots[(id - base) as usize] else {
-                unreachable!("started flow is in flight")
-            };
-            f.rate = rate;
+            self.fill.run(&self.caps, routes);
+            for (&id, &rate) in started.iter().zip(&self.fill.rates) {
+                let Slot::InFlight(f) = &mut slots[(id - base) as usize] else {
+                    unreachable!("started flow is in flight")
+                };
+                f.rate = rate;
+            }
         }
+        self.joined.clear();
+        self.left_busy = false;
     }
+}
+
+/// Count a newly started flow on its links and queue it for the next
+/// re-share.
+fn join(load: &mut [u32], joined: &mut Vec<FlowId>, id: FlowId, route: &Route) {
+    for &l in route.as_ref() {
+        load[l as usize] += 1;
+    }
+    joined.push(id);
 }
 
 /// Estimated finish of a flow at constant `rate`, rounded **up** to the next
@@ -436,62 +525,107 @@ fn eta(now: SimTime, remaining: f64, rate: f64) -> SimTime {
 /// `caps[l]` is link `l`'s capacity (bytes/s); `routes[f]` lists the links
 /// flow `f` crosses (non-empty). Returns one fair rate per flow. Invariants
 /// (property-tested in `tests/properties.rs`): no link's capacity is
-/// exceeded, every flow is bottlenecked by at least one saturated link, each
-/// saturated link's capacity is fully handed out, and adding a flow never
-/// raises another flow's rate.
+/// exceeded, every flow is bottlenecked by at least one saturated link, and
+/// each saturated link's capacity is fully handed out. Adding a flow never
+/// raises the minimum rate, nor any rate when every route crosses one link.
+/// It *can* raise another flow's rate on multi-link routes (indirect
+/// relief): the newcomer squeezes a flow on one link, which frees capacity
+/// for a third flow on another.
 pub fn max_min_rates(caps: &[f64], routes: &[Vec<usize>]) -> Vec<f64> {
     let routes32: Vec<Vec<u32>> =
         routes.iter().map(|r| r.iter().map(|&l| l as u32).collect()).collect();
-    max_min_fill(caps, &routes32)
+    let mut fill = Fill::new(caps.len());
+    fill.run(caps, &routes32);
+    fill.rates
 }
 
-/// [`max_min_rates`] over any route representation — the form
-/// [`FlowNet::reallocate`] calls with borrowed inline routes, so a re-share
-/// never copies route storage.
-fn max_min_fill<R: AsRef<[u32]>>(caps: &[f64], routes: &[R]) -> Vec<f64> {
-    let mut rates = vec![0.0f64; routes.len()];
-    let mut frozen = vec![false; routes.len()];
-    let mut cap_left = caps.to_vec();
-    let mut crossing = vec![0u32; caps.len()];
-    for r in routes {
-        let r = r.as_ref();
-        debug_assert!(!r.is_empty(), "flows must cross at least one link");
-        for &l in r {
-            crossing[l as usize] += 1;
+/// Progressive-filling scratch, sized to the link graph once and reused by
+/// every re-share, so a fill allocates nothing and visits only the links its
+/// flows cross.
+#[derive(Clone, Debug)]
+struct Fill {
+    /// Capacity left on each link; meaningful on `touched` links only.
+    cap_left: Vec<f64>,
+    /// Unfrozen flows crossing each link; all zero between fills.
+    crossing: Vec<u32>,
+    /// Links the current fill's flows cross.
+    touched: Vec<u32>,
+    frozen: Vec<bool>,
+    /// The last fill's result: one fair rate per route.
+    rates: Vec<f64>,
+}
+
+impl Fill {
+    fn new(links: usize) -> Fill {
+        Fill {
+            cap_left: vec![0.0; links],
+            crossing: vec![0; links],
+            touched: Vec::new(),
+            frozen: Vec::new(),
+            rates: Vec::new(),
         }
     }
-    let mut unfrozen = routes.len();
-    while unfrozen > 0 {
-        // The most contended link sets this round's fair share.
-        let mut share = f64::INFINITY;
-        for (l, &n) in crossing.iter().enumerate() {
-            if n > 0 {
-                share = share.min(cap_left[l].max(0.0) / n as f64);
+
+    /// Set `self.rates` to the max-min fair rate of every route (the
+    /// [`max_min_rates`] contract).
+    fn run<R: AsRef<[u32]>>(&mut self, caps: &[f64], routes: &[R]) {
+        let Fill { cap_left, crossing, touched, frozen, rates } = self;
+        rates.clear();
+        rates.resize(routes.len(), 0.0);
+        frozen.clear();
+        frozen.resize(routes.len(), false);
+        touched.clear();
+        // Plain slices from here on: the hot loops then keep every base
+        // pointer in a register instead of reloading it through `self`.
+        let (cap_left, crossing, frozen, rates) =
+            (&mut cap_left[..], &mut crossing[..], &mut frozen[..], &mut rates[..]);
+        for r in routes {
+            let r = r.as_ref();
+            debug_assert!(!r.is_empty(), "flows must cross at least one link");
+            for &l in r {
+                let l = l as usize;
+                if crossing[l] == 0 {
+                    touched.push(l as u32);
+                    cap_left[l] = caps[l];
+                }
+                crossing[l] += 1;
             }
         }
-        // Freeze every flow crossing a link at that share. At least the
-        // arg-min link's flows freeze (its computed share equals `share`
-        // bit-for-bit), so each round strictly shrinks the unfrozen set.
-        for (f, route) in routes.iter().enumerate() {
-            if frozen[f] {
-                continue;
+        let mut unfrozen = routes.len();
+        while unfrozen > 0 {
+            // The most contended link sets this round's fair share. Every
+            // candidate is a non-negative, non-NaN quotient that is never
+            // negative zero, so the minimum does not depend on link order.
+            let mut share = f64::INFINITY;
+            for &l in touched.iter() {
+                let n = crossing[l as usize];
+                if n > 0 {
+                    share = share.min(cap_left[l as usize].max(0.0) / n as f64);
+                }
             }
-            let route = route.as_ref();
-            let bottlenecked = route
-                .iter()
-                .any(|&l| cap_left[l as usize].max(0.0) / crossing[l as usize] as f64 <= share);
-            if bottlenecked {
-                rates[f] = share;
-                frozen[f] = true;
-                unfrozen -= 1;
-                for &l in route {
-                    cap_left[l as usize] -= share;
-                    crossing[l as usize] -= 1;
+            // Freeze every flow crossing a link at that share. At least the
+            // arg-min link's flows freeze (its computed share equals `share`
+            // bit-for-bit), so each round strictly shrinks the unfrozen set.
+            for (f, route) in routes.iter().enumerate() {
+                if frozen[f] {
+                    continue;
+                }
+                let route = route.as_ref();
+                let bottlenecked = route
+                    .iter()
+                    .any(|&l| cap_left[l as usize].max(0.0) / crossing[l as usize] as f64 <= share);
+                if bottlenecked {
+                    rates[f] = share;
+                    frozen[f] = true;
+                    unfrozen -= 1;
+                    for &l in route {
+                        cap_left[l as usize] -= share;
+                        crossing[l as usize] -= 1;
+                    }
                 }
             }
         }
     }
-    rates
 }
 
 #[cfg(test)]
@@ -639,6 +773,119 @@ mod tests {
         assert_ne!(a.state_fingerprint(), b.state_fingerprint());
         assert_eq!(finish(&mut b, fb), at);
         assert_eq!(a.state_fingerprint(), b.state_fingerprint());
+    }
+
+    fn rate(net: &FlowNet, id: FlowId) -> f64 {
+        match &net.slots[net.index(id)] {
+            Slot::InFlight(f) => f.rate,
+            other => panic!("flow {id} is not in flight: {other:?}"),
+        }
+    }
+
+    /// Every started flow's rate equals, bit for bit, a from-scratch fill
+    /// over the started set; the per-link loads match a recount.
+    fn assert_rates_exact(net: &FlowNet) {
+        let mut ids = Vec::new();
+        let mut routes = Vec::new();
+        let mut load = vec![0u32; net.caps.len()];
+        for &id in &net.live {
+            let Slot::InFlight(f) = &net.slots[net.index(id)] else { unreachable!() };
+            if f.starts_at <= net.now {
+                ids.push(id);
+                routes.push(f.route.as_ref().iter().map(|&l| l as usize).collect::<Vec<_>>());
+                for &l in f.route.as_ref() {
+                    load[l as usize] += 1;
+                }
+            }
+        }
+        assert_eq!(load, net.load, "per-link started-flow counts drifted");
+        let want = max_min_rates(&net.caps, &routes);
+        for (&id, w) in ids.iter().zip(want) {
+            assert_eq!(rate(net, id).to_bits(), w.to_bits(), "flow {id} at {:?}", net.now);
+        }
+    }
+
+    #[test]
+    fn incremental_reshares_match_a_full_solve_bit_for_bit() {
+        for spec in [TopologySpec::Star { nodes: 16 }, TopologySpec::tibidabo()] {
+            let nodes = spec.nodes();
+            let mut net = FlowNet::new(spec, GBE, LAT);
+            let mut state = 0x5eed_f10e_u64;
+            let mut next = move |n: u64| {
+                // SplitMix64: a fixed stream, so the test is deterministic.
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                (z ^ (z >> 31)) % n
+            };
+            let mut pending: Vec<FlowId> = Vec::new();
+            let mut now = SimTime::ZERO;
+            for _ in 0..300 {
+                // A burst of 1-3 starts at one instant: a third deferred, and
+                // half of them leaving a few hot nodes, so links get shared.
+                for _ in 0..=next(3) {
+                    let src = if next(2) == 0 { next(3) as u32 } else { next(nodes as u64) as u32 };
+                    let dst = (src + 1 + next(nodes as u64 - 1) as u32) % nodes;
+                    let depart =
+                        if next(3) == 0 { now + SimTime::from_micros(next(400)) } else { now };
+                    pending.push(net.start(now, depart, src, dst, 1_000 + next(100_000)));
+                }
+                // Poll at the start instant, then somewhere up to 0.5 ms on.
+                for at in [now, now + SimTime::from_micros(next(500))] {
+                    now = at;
+                    pending.retain(|&id| match net.poll(now, id) {
+                        FlowStatus::Done { .. } => {
+                            net.consume(id);
+                            false
+                        }
+                        FlowStatus::InFlight { .. } => true,
+                    });
+                    assert_rates_exact(&net);
+                }
+            }
+            // Drain, stopping at every transition.
+            while let Some(&id) = pending.first() {
+                match net.poll(now, id) {
+                    FlowStatus::Done { .. } => {
+                        net.consume(id);
+                        pending.remove(0);
+                    }
+                    FlowStatus::InFlight { wake, .. } => now = wake,
+                }
+                assert_rates_exact(&net);
+            }
+            assert_eq!(net.active(), 0);
+            let (solves, shortcuts) = net.reshare_counts();
+            assert!(
+                solves > 0 && shortcuts > 0,
+                "{spec:?}: {solves} solves, {shortcuts} shortcuts"
+            );
+        }
+    }
+
+    #[test]
+    fn a_new_flow_can_raise_another_flows_rate() {
+        // X 0→1 and Z 0→3 share node 0's uplink; X and Y 2→1 share node 1's
+        // downlink: all three run at half rate. W 0→4 squeezes X to a third
+        // on the uplink, which frees node 1's downlink for Y: indirect relief.
+        let mut net = star(5);
+        let t0 = SimTime::ZERO;
+        let x = net.start(t0, t0, 0, 1, 125_000_000);
+        let y = net.start(t0, t0, 2, 1, 125_000_000);
+        let z = net.start(t0, t0, 0, 3, 125_000_000);
+        net.poll(t0, x);
+        for id in [x, y, z] {
+            assert_eq!(rate(&net, id), GBE / 2.0);
+        }
+        let t1 = SimTime::from_millis(1);
+        let w = net.start(t1, t1, 0, 4, 125_000_000);
+        net.poll(t1, w);
+        let near = |id, want: f64| (rate(&net, id) - want).abs() <= want * 1e-12;
+        for id in [x, z, w] {
+            assert!(near(id, GBE / 3.0), "flow {id} at {}", rate(&net, id));
+        }
+        assert!(near(y, GBE * 2.0 / 3.0), "Y rises from 1/2 to 2/3 of the link: {}", rate(&net, y));
     }
 
     #[test]

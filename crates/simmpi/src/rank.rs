@@ -1553,10 +1553,13 @@ impl Rank {
     /// network re-shares bandwidth, then to the flow's arrival (network
     /// completion plus `extra` endpoint time), consuming the flow record.
     ///
-    /// This converges exactly: adding a flow never *raises* another flow's
-    /// rate (a property-tested allocator invariant), so a completion estimate
-    /// can only move later while we sleep — advancing to the estimate and
-    /// re-polling therefore observes the true completion time.
+    /// Each sleep ends at the network's next transition as known at poll
+    /// time, and the flow's recorded completion is always exact. The time
+    /// the receiver *observes* it is not always exact: a flow that another
+    /// rank starts while we sleep can raise this flow's rate (indirect
+    /// relief; see [`netsim::max_min_rates`]). The flow may then finish
+    /// early enough that its arrival falls before the wake, and the receiver
+    /// takes it at the wake, late.
     async fn await_flow(&self, id: netsim::FlowId, extra: SimTime) {
         let world = Arc::clone(&self.world);
         loop {
