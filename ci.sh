@@ -129,10 +129,11 @@ if [[ $quick -eq 0 ]]; then
   # The fair-sharing flow model must keep its wall-clock win on the dense
   # alltoall workload: whole-flow scheduling collapses the event count, so
   # the same virtual job must simulate at least 5x faster than the
-  # per-message event model. This micro gate stands for the end-to-end flow
-  # workloads: perfbench's fig6-flow and the ablate-net/*/flow golden cells.
-  # Those are HPL-dominated and sparse, so passing here does not make the
-  # flow model win there; judge flow changes on fig6-flow too.
+  # per-message event model. This micro gate times the batched alltoall fast
+  # path (send_flows_batched + recv_wire_all), which no paper workload
+  # reaches: fig6-flow and the ablate-net/*/flow cells never call alltoall.
+  # Passing here says nothing about them; judge flow changes on perfbench's
+  # fig6-flow.
   flow_speedup=$(grep -o '"flow_speedup": [0-9.]*' "$scale_json" | awk '{print $2}')
   awk -v s="$flow_speedup" 'BEGIN { exit !(s != "" && s >= 5.0) }' || {
     echo "error: flow model only ${flow_speedup:-missing}x the event model (need >= 5x)" >&2

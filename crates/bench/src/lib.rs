@@ -26,8 +26,9 @@
 //!
 //! The [`plan`]/[`sweep`] pair is the parallel deterministic sweep executor:
 //! [`RunPlan::from_items`] decomposes a run into independent scenario cells,
-//! [`run_plan`] fans them out over a rayon pool and merges in canonical
-//! order, so `repro --jobs N` output is byte-identical to `--serial`.
+//! [`run_plan_supervised`] fans them out over a rayon pool and merges in
+//! canonical order, so `repro --jobs N` output is byte-identical to
+//! `--serial`.
 //!
 //! The [`supervisor`]/[`journal`]/[`artifact`] trio hardens that executor:
 //! [`run_plan_supervised`] quarantines panicking cells (capturing payload and
@@ -80,8 +81,7 @@ pub use mc::{
     ParsedCounterexample,
 };
 pub use plan::{
-    run_plan, run_plan_supervised, ArtefactOut, ArtefactOutcome, RunPlan, RunScales,
-    SupervisedArtefact,
+    run_plan_supervised, ArtefactOut, ArtefactOutcome, RunPlan, RunScales, SupervisedArtefact,
 };
 pub use resilience::{
     resilience_cell, resilience_contrast, resilience_grid, resilience_study, resilience_study_from,
@@ -90,7 +90,7 @@ pub use resilience::{
 pub use supervisor::{
     CellFailure, CellOutcome, CellReport, SupervisorConfig, SupervisorStats, WatchdogMargin,
 };
-pub use sweep::{run_cells, Cell, CellTiming, CkptStats, SweepConfig, SweepStats};
+pub use sweep::{Cell, CellTiming, CkptStats, SweepConfig, SweepStats};
 pub use trace::{
     fold_spans, parse_trace, read_trace, render_rank_table, write_trace, FoldedSpans, ParsedTrace,
     SpanEdge,

@@ -6,8 +6,9 @@
 //!
 //! 1. [`RunPlan::from_items`] enumerates cells in a fixed order that depends
 //!    only on the requested items and scales — never on the host.
-//! 2. [`run_plan`] executes the cells on [`run_cells`], which returns outputs
-//!    in enumeration order regardless of scheduling.
+//! 2. [`run_plan_supervised`] executes the cells on
+//!    [`run_cells_supervised`], which returns outputs in enumeration order
+//!    regardless of scheduling.
 //! 3. Each artefact's merge closure sees exactly its own cells, in order, and
 //!    produces the same rendered blocks and JSON the old serial generators
 //!    produced.
@@ -35,7 +36,7 @@ use crate::resilience::{
 use crate::supervisor::{
     run_cells_supervised, stats_from_reports, CellReport, SupervisorConfig, SupervisorStats,
 };
-use crate::sweep::{run_cells, Cell, CellTiming, SweepConfig, SweepStats};
+use crate::sweep::{Cell, CellTiming, SweepConfig, SweepStats};
 use crate::{Fig1, Fig2, Fig34, Fig5};
 
 /// Problem scales for the scale-dependent artefacts (Fig 6, HPL, resilience).
@@ -634,33 +635,6 @@ impl RunPlan {
     }
 }
 
-/// Execute a plan on the sweep executor and merge every artefact in
-/// canonical order. The returned artefacts (text blocks and JSON) are
-/// byte-identical for any worker count; only the stats vary.
-pub fn run_plan(plan: RunPlan, cfg: &SweepConfig) -> (Vec<ArtefactOut>, SweepStats) {
-    let mut flat: Vec<Cell<CellOutput>> = Vec::new();
-    let mut spans = Vec::with_capacity(plan.artefacts.len());
-    let mut merges = Vec::with_capacity(plan.artefacts.len());
-    for a in plan.artefacts {
-        let start = flat.len();
-        flat.extend(a.cells);
-        spans.push(start..flat.len());
-        merges.push(a.merge);
-    }
-
-    let (mut outputs, stats) = run_cells(flat, cfg);
-
-    // Drain back-to-front so each merge can take ownership of its span
-    // without reshuffling the rest.
-    let mut artefacts: Vec<ArtefactOut> = Vec::with_capacity(merges.len());
-    for (span, merge) in spans.into_iter().zip(merges).rev() {
-        let outs: Vec<CellOutput> = outputs.split_off(span.start);
-        artefacts.push(merge(outs));
-    }
-    artefacts.reverse();
-    (artefacts, stats)
-}
-
 /// One artefact's outcome under supervised execution.
 pub enum ArtefactOutcome {
     /// Every cell produced a trustworthy output and the merge ran.
@@ -709,8 +683,8 @@ impl SupervisedArtefact {
 /// and journals incrementally, so an interrupted run leaves every finished
 /// artefact durably on disk. `skip` marks artefacts to resume past; a
 /// quarantined cell fails only its own artefact, every other artefact
-/// completes, and deterministic outputs remain byte-identical to
-/// [`run_plan`] for any worker count.
+/// completes, and deterministic outputs are byte-identical for any worker
+/// count.
 ///
 /// ```
 /// use bench::{run_plan_supervised, RunPlan, RunScales, SupervisorConfig, SweepConfig};
@@ -831,13 +805,39 @@ mod tests {
         assert_eq!(plan.cell_count(), 1);
     }
 
+    /// Run `plan` under the default supervisor and return its artefacts,
+    /// failing loudly, with each quarantined cell's brief, if any failed.
+    fn run(plan: RunPlan, cfg: &SweepConfig) -> (Vec<ArtefactOut>, SweepStats) {
+        let (arts, stats) =
+            run_plan_supervised(plan, cfg, &SupervisorConfig::default(), &|_| false, |_| {});
+        let arts = arts
+            .into_iter()
+            .map(|a| match a.outcome {
+                ArtefactOutcome::Completed(out) => out,
+                _ => panic!("{} did not complete: {:?}", a.key, a.quarantined()),
+            })
+            .collect();
+        (arts, stats)
+    }
+
+    #[test]
+    fn stats_summary_mentions_cache_and_cells() {
+        let (_, stats) = run(
+            RunPlan::from_items(&items(&["fig3"]), &RunScales::golden()),
+            &SweepConfig::serial(),
+        );
+        let s = stats.summary();
+        assert!(s.contains(&format!("{} cells", stats.cells)), "{s}");
+        assert!(s.contains("hit rate"), "{s}");
+    }
+
     #[test]
     fn parallel_run_matches_serial_bytes() {
         // The tentpole invariant on a cheap subset: renders and JSON from a
         // multi-worker run are byte-identical to the serial schedule.
         let mk = || RunPlan::from_items(&items(&["fig3", "fig5", "fig7"]), &RunScales::golden());
-        let (serial, s1) = run_plan(mk(), &SweepConfig::serial());
-        let (parallel, s8) = run_plan(mk(), &SweepConfig::with_jobs(8));
+        let (serial, s1) = run(mk(), &SweepConfig::serial());
+        let (parallel, s8) = run(mk(), &SweepConfig::with_jobs(8));
         assert_eq!(s1.cells, s8.cells);
         assert_eq!(serial.len(), parallel.len());
         for (a, b) in serial.iter().zip(&parallel) {
@@ -849,7 +849,7 @@ mod tests {
 
     #[test]
     fn fig34_plan_output_matches_direct_generator() {
-        let (arts, _) = run_plan(
+        let (arts, _) = run(
             RunPlan::from_items(&items(&["fig4"]), &RunScales::golden()),
             &SweepConfig::with_jobs(4),
         );

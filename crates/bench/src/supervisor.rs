@@ -1,8 +1,9 @@
 //! The sweep supervisor: crash-isolated, watchdogged, retrying cell
 //! execution.
 //!
-//! [`run_cells_supervised`] is the hardened sibling of
-//! [`run_cells`](crate::run_cells). Each cell attempt runs under
+//! [`run_cells_supervised`] is the sweep executor behind every `repro` run.
+//! It returns cell outputs in specification order for any worker count.
+//! Each cell attempt runs under
 //! `catch_unwind` with a chained panic hook that captures the payload,
 //! location, and a backtrace, so one poisoned cell is *quarantined* (its
 //! report carries the evidence) while every other cell completes. A
@@ -465,6 +466,36 @@ mod tests {
 
     fn sup(max_attempts: u32) -> SupervisorConfig {
         SupervisorConfig { max_attempts, wall_limit: None, verify_recovered: true }
+    }
+
+    fn squares(n: u64) -> Vec<Cell<u64>> {
+        (0..n).map(|i| Cell::new(format!("sq{i}"), move || i * i)).collect()
+    }
+
+    #[test]
+    fn outputs_are_in_spec_order_serial_and_parallel() {
+        let expect: Vec<Option<u64>> = (0..64).map(|i| Some(i * i)).collect();
+        let (serial, _) =
+            run_cells_supervised(squares(64), &SweepConfig::serial(), &sup(1), no_error, id_digest);
+        let (parallel, reports) = run_cells_supervised(
+            squares(64),
+            &SweepConfig::with_jobs(8),
+            &sup(1),
+            no_error,
+            id_digest,
+        );
+        assert_eq!(serial, expect);
+        assert_eq!(parallel, expect);
+        assert_eq!(reports.len(), 64);
+        assert_eq!(reports[3].label, "sq3");
+    }
+
+    #[test]
+    fn empty_sweep_is_fine() {
+        let (outs, reports) =
+            run_cells_supervised(squares(0), &SweepConfig::auto(), &sup(1), no_error, id_digest);
+        assert!(outs.is_empty());
+        assert!(reports.is_empty());
     }
 
     #[test]

@@ -1,19 +1,19 @@
-//! The parallel deterministic sweep executor.
+//! The vocabulary of the parallel deterministic sweep executor.
 //!
 //! Every paper artefact decomposes into independent *cells* — one DES run,
 //! one DVFS series, one ping-pong panel, one fault-injection grid point.
-//! [`run_cells`] fans the cells of a whole run out over a rayon thread pool
-//! and writes each result into its pre-assigned slot, so downstream merges
-//! always see results in specification order no matter which worker finished
-//! first. Parallel output is therefore byte-identical to serial output: the
-//! only nondeterminism (wall-clock timings, cache hit counters) is kept in
+//! [`run_cells_supervised`](crate::supervisor::run_cells_supervised) fans
+//! the cells of a whole run out over a rayon thread pool and writes each
+//! result into its pre-assigned slot, so downstream merges always see
+//! results in specification order no matter which worker finished first.
+//! Parallel output is therefore byte-identical to serial output: the only
+//! nondeterminism (wall-clock timings, cache hit counters) is kept in
 //! [`SweepStats`], which callers must never mix into byte-compared artefacts.
 
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::Arc;
 
 use serde::Serialize;
-use soc_arch::{cache_counters, CacheCounters};
+use soc_arch::CacheCounters;
 
 use crate::supervisor::SupervisorStats;
 
@@ -134,7 +134,7 @@ pub struct SweepStats {
     /// Per-cell wall-clock timings, in specification order.
     pub cell_timings: Vec<CellTiming>,
     /// Supervisor outcomes (quarantines, retries, resume skips, watchdog
-    /// margins). All-zero for unsupervised [`run_cells`] runs.
+    /// margins).
     pub supervisor: SupervisorStats,
     /// Condemnation/rollback outcomes of the sweep's sharded runs.
     pub ckpt: CkptStats,
@@ -156,97 +156,13 @@ impl SweepStats {
     }
 }
 
-/// Execute `cells` on `cfg.jobs` workers and return their outputs **in input
-/// order**, plus the run's [`SweepStats`].
-///
-/// With `jobs == 1` the cells run on the calling thread front-to-back — the
-/// reference schedule. With more workers, cells are claimed from a shared
-/// queue in an arbitrary order; because every cell is independent and each
-/// result lands in its own slot, the returned vector is identical either
-/// way. A panicking cell propagates after the scope unwinds.
-pub fn run_cells<O: Send>(cells: Vec<Cell<O>>, cfg: &SweepConfig) -> (Vec<O>, SweepStats) {
-    let jobs = cfg.jobs.max(1);
-    let n = cells.len();
-    let started = Instant::now();
-    let cache_before = cache_counters();
-    let condemn_before = simmpi::condemn_telemetry();
-
-    let slots: Vec<Mutex<Option<(O, f64)>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let labels: Vec<String> = cells.iter().map(|c| c.label.clone()).collect();
-
-    let pool =
-        rayon::ThreadPoolBuilder::new().num_threads(jobs).build().expect("sweep thread pool");
-    pool.scope(|s| {
-        for (i, cell) in cells.into_iter().enumerate() {
-            let slot = &slots[i];
-            s.spawn(move |_| {
-                let t0 = Instant::now();
-                let out = (cell.run)();
-                let ms = t0.elapsed().as_secs_f64() * 1e3;
-                *slot.lock().unwrap() = Some((out, ms));
-            });
-        }
-    });
-
-    let mut outputs = Vec::with_capacity(n);
-    let mut cell_timings = Vec::with_capacity(n);
-    for (slot, label) in slots.into_iter().zip(labels) {
-        let (out, wall_ms) = slot.into_inner().unwrap().expect("cell never ran");
-        outputs.push(out);
-        cell_timings.push(CellTiming { label, wall_ms });
-    }
-
-    let stats = SweepStats {
-        jobs,
-        cells: n,
-        wall_s: started.elapsed().as_secs_f64(),
-        timing_cache: cache_before.delta_to(&cache_counters()),
-        cell_timings,
-        supervisor: SupervisorStats::default(),
-        ckpt: simmpi::condemn_telemetry().since(&condemn_before).into(),
-    };
-    (outputs, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn squares(n: usize) -> Vec<Cell<usize>> {
-        (0..n).map(|i| Cell::new(format!("sq{i}"), move || i * i)).collect()
-    }
-
-    #[test]
-    fn outputs_are_in_spec_order_serial_and_parallel() {
-        let expect: Vec<usize> = (0..64).map(|i| i * i).collect();
-        let (serial, s1) = run_cells(squares(64), &SweepConfig::serial());
-        let (parallel, s8) = run_cells(squares(64), &SweepConfig::with_jobs(8));
-        assert_eq!(serial, expect);
-        assert_eq!(parallel, expect);
-        assert_eq!(s1.cells, 64);
-        assert_eq!(s8.jobs, 8);
-        assert_eq!(s8.cell_timings.len(), 64);
-        assert_eq!(s8.cell_timings[3].label, "sq3");
-    }
-
-    #[test]
-    fn empty_sweep_is_fine() {
-        let (out, stats) = run_cells(Vec::<Cell<u8>>::new(), &SweepConfig::auto());
-        assert!(out.is_empty());
-        assert_eq!(stats.cells, 0);
-    }
 
     #[test]
     fn with_jobs_clamps_zero() {
         assert_eq!(SweepConfig::with_jobs(0).jobs, 1);
         assert!(SweepConfig::auto().jobs >= 1);
-    }
-
-    #[test]
-    fn stats_summary_mentions_cache_and_cells() {
-        let (_, stats) = run_cells(squares(3), &SweepConfig::serial());
-        let s = stats.summary();
-        assert!(s.contains("3 cells"));
-        assert!(s.contains("hit rate"));
     }
 }

@@ -346,18 +346,7 @@ impl Rank {
             }
         }
         self.send_flows_batched(TAG_ALLTOALL, outgoing).await;
-        if self.tracing() {
-            // Per-peer receives emit the documented per-message flow events.
-            for src in 0..p {
-                if src == me {
-                    continue;
-                }
-                let m = self.recv_wire(src, TAG_ALLTOALL).await;
-                out[src as usize] = Some(m);
-            }
-        } else {
-            self.recv_wire_all(TAG_ALLTOALL, &mut out).await;
-        }
+        self.recv_wire_all(TAG_ALLTOALL, &mut out).await;
         self.batch_recv_overhead(p as u64 - 1).await;
         self.phase_end("alltoall");
         out.into_iter().map(|m| m.unwrap()).collect()

@@ -48,7 +48,9 @@ use soc_arch::WorkProfile;
 use crate::error::MpiFault;
 use crate::payload::Msg;
 use crate::shard::{apply_cross_packets, Packet, ShardCtx};
-use crate::world::{matches, Delivery, InMsg, JobSpec, NetStats, World};
+use crate::world::{
+    backoff, matches, BulkData, Delivery, InMsg, JobSpec, NetStats, RetriesExhausted, Wake, World,
+};
 
 /// Process-global default engine-event budget applied to every [`run_mpi`]
 /// job whose spec leaves `event_budget` unset. `0` = unlimited.
@@ -422,10 +424,6 @@ where
     F: Fn(Rank) -> Fut,
     Fut: Future<Output = R> + Send + 'static,
 {
-    let nranks = world.spec.ranks;
-    let results: Arc<Mutex<Vec<Option<R>>>> =
-        Arc::new(Mutex::new((0..nranks).map(|_| None).collect()));
-
     let mut engine = Engine::new().with_event_budget(budget);
     // Under a model-checking run (see `des::mc`), wire the thread's
     // controller into this engine: it arbitrates delivery orderings and
@@ -441,50 +439,63 @@ where
     if let Some(tracer) = mc.as_ref().and_then(|c| c.tracer()).or(tracer) {
         engine.set_tracer(tracer);
     }
-    spawn_ranks(&mut engine, &world, &results, &body);
-    let report = match engine.run() {
-        Ok(report) => report,
-        Err(e) => {
-            // A rank that died on purpose recorded why before unwinding.
-            let recorded = world.state.lock().fault.take();
-            return Err(recorded.unwrap_or(MpiFault::Engine(e)));
-        }
-    };
-    collect_run(&world, results, report.end_time, report.events, 1)
+    run_on_one_engine(&world, engine, &body, Engine::run)
 }
 
-/// Spawn every rank of `world` as an event-driven process on one engine
-/// (the serial and recovery paths; the sharded path spreads ranks across
-/// its engines inline).
-fn spawn_ranks<R, F, Fut>(
-    engine: &mut Engine,
+/// Per-rank result slots, filled as each rank's future completes.
+type Results<R> = Arc<Mutex<Vec<Option<R>>>>;
+
+/// Run every rank of `world` on `engine`, which `drive` runs to its end, and
+/// collect the finished run (the serial and recovery paths).
+fn run_on_one_engine<R, F, Fut>(
     world: &Arc<World>,
-    results: &Arc<Mutex<Vec<Option<R>>>>,
+    mut engine: Engine,
     body: &F,
-) where
+    drive: impl FnOnce(Engine) -> Result<des::RunReport, des::SimError>,
+) -> Result<MpiRun<R>, MpiFault>
+where
     R: Send + 'static,
     F: Fn(Rank) -> Fut,
     Fut: Future<Output = R> + Send + 'static,
 {
+    let results = spawn_ranks(std::slice::from_mut(&mut engine), world, body, None);
+    let report = drive(engine).map_err(|e| world.take_fault(e))?;
+    collect_run(world, results, report.end_time, report.events, 1)
+}
+
+/// Spawn every rank of `world` as an event-driven process, all on
+/// `engines[0]` or, on a sharded run, each on its shard's engine. This is
+/// the one place a [`Rank`] is built. Returns the ranks' result slots.
+fn spawn_ranks<R, F, Fut>(
+    engines: &mut [Engine],
+    world: &Arc<World>,
+    body: &F,
+    shards: Option<&Arc<ShardCtx>>,
+) -> Results<R>
+where
+    R: Send + 'static,
+    F: Fn(Rank) -> Fut,
+    Fut: Future<Output = R> + Send + 'static,
+{
+    let results: Results<R> = Arc::new(Mutex::new((0..world.spec.ranks).map(|_| None).collect()));
     for r in 0..world.spec.ranks {
+        let shard = shards.map(|ctx| (ctx.shard_of_rank[r as usize], Arc::clone(ctx)));
+        let engine = &mut engines[shard.as_ref().map_or(0, |(s, _)| *s as usize)];
         let pid = engine.spawn_process(format!("rank{r}"), |ctx| {
-            let world_for_rank = Arc::clone(world);
-            let results = Arc::clone(results);
-            let node = world_for_rank.spec.node_of(r);
-            let plan = &world_for_rank.spec.fault_plan;
-            let crash_at = plan.crash_time(node);
-            let flips: Vec<SimTime> = plan.bit_flips(node).collect();
+            let node = world.spec.node_of(r);
+            let plan = &world.spec.fault_plan;
             let rank = Rank {
                 ctx,
                 rank: r,
-                world: world_for_rank,
+                world: Arc::clone(world),
                 node,
-                crash_at,
-                flips,
+                crash_at: plan.crash_time(node),
+                flips: plan.bit_flips(node).collect(),
                 flips_seen: 0,
-                shard: None,
+                shard,
             };
             let fut = body(rank);
+            let results = Arc::clone(&results);
             async move {
                 let out = fut.await;
                 results.lock()[r as usize] = Some(out);
@@ -492,6 +503,7 @@ fn spawn_ranks<R, F, Fut>(
         });
         world.state.lock().ranks[r as usize].pid = Some(pid);
     }
+    results
 }
 
 /// Whether (and how) a job can shard: the partition of its used nodes and
@@ -541,13 +553,10 @@ where
     F: Fn(Rank) -> Fut,
     Fut: Future<Output = R> + Send + 'static,
 {
-    let nranks = world.spec.ranks;
     let nshards = partition.shards() as usize;
     let shard_of_rank: Vec<u16> =
-        (0..nranks).map(|r| partition.shard_of(world.spec.node_of(r)) as u16).collect();
+        (0..world.spec.ranks).map(|r| partition.shard_of(world.spec.node_of(r)) as u16).collect();
     let shard_ctx = Arc::new(ShardCtx::new(shard_of_rank, nshards));
-    let results: Arc<Mutex<Vec<Option<R>>>> =
-        Arc::new(Mutex::new((0..nranks).map(|_| None).collect()));
     // Arm the link reservation-order guard: if the windowed schedule ever
     // touches a link out of the serial engine's order (tightly-cascading
     // cross-boundary traffic can — see `crate::shard`), or a wildcard
@@ -562,33 +571,7 @@ where
         (0..nshards).map(|_| Engine::new().with_event_budget(budget)).collect();
     // All rank futures are created here, on the caller's thread, before the
     // engines move to their worker threads — `body` needs no `Sync` bound.
-    for r in 0..nranks {
-        let shard = shard_ctx.shard_of_rank[r as usize];
-        let pid = engines[shard as usize].spawn_process(format!("rank{r}"), |ctx| {
-            let world_for_rank = Arc::clone(&world);
-            let results = Arc::clone(&results);
-            let node = world_for_rank.spec.node_of(r);
-            let plan = &world_for_rank.spec.fault_plan;
-            let crash_at = plan.crash_time(node);
-            let flips: Vec<SimTime> = plan.bit_flips(node).collect();
-            let rank = Rank {
-                ctx,
-                rank: r,
-                world: world_for_rank,
-                node,
-                crash_at,
-                flips,
-                flips_seen: 0,
-                shard: Some((shard, Arc::clone(&shard_ctx))),
-            };
-            let fut = body(rank);
-            async move {
-                let out = fut.await;
-                results.lock()[r as usize] = Some(out);
-            }
-        });
-        world.state.lock().ranks[r as usize].pid = Some(pid);
-    }
+    let results = spawn_ranks(&mut engines, &world, &body, Some(&shard_ctx));
     // Snapshot the checkpoint/recovery defaults (same once-at-start rule as
     // every other process-global default) and resolve the job's on-disk
     // checkpoint file: named by the spec fingerprint, so concurrent sweeps
@@ -658,15 +641,10 @@ where
         };
         return run_mpi_recover(&world, budget, ckpts, stats, body);
     }
-    let report = match run.result {
-        Ok(()) => run.report,
-        Err(e) => {
-            // A rank that died on purpose recorded why before unwinding.
-            let recorded = world.state.lock().fault.take();
-            return Err(recorded.unwrap_or(MpiFault::Engine(e)));
-        }
-    };
-    collect_run(&world, results, report.end_time, report.events, nshards as u32)
+    if let Err(e) = run.result {
+        return Err(world.take_fault(e));
+    }
+    collect_run(&world, results, run.report.end_time, run.report.events, nshards as u32)
 }
 
 /// Fingerprint of everything about a [`JobSpec`] that shapes its simulated
@@ -716,40 +694,28 @@ where
     let mut spec = condemned.spec.clone();
     spec.net_model = Some(condemned.net_model);
     let world = Arc::new(World::new(spec));
-    let results: Arc<Mutex<Vec<Option<R>>>> =
-        Arc::new(Mutex::new((0..world.spec.ranks).map(|_| None).collect()));
-    let mut engine = Engine::new().with_event_budget(budget);
-    spawn_ranks(&mut engine, &world, &results, &body);
     let mut verified = 0u64;
-    let windowed: Result<(), des::SimError> = (|| {
+    let engine = Engine::new().with_event_budget(budget);
+    let mut out = run_on_one_engine(&world, engine, &body, |mut engine| {
         for ck in ckpts.iter() {
-            engine.run_window(ck.end)?;
-            if world.ckpt_state_hash() == ck.world_hash {
-                verified += 1;
-            } else {
+            if let Err(e) = engine.run_window(ck.end) {
+                return Err(annotate_recovery_error(e, verified, &ckpts));
+            }
+            if world.ckpt_state_hash() != ck.world_hash {
                 // Fail closed: this and every later checkpoint stays
                 // uncertified, and the replay simply continues as a plain
                 // serial run.
                 break;
             }
+            verified += 1;
         }
-        Ok(())
-    })();
-    let report = match windowed.and_then(|()| engine.run()) {
-        Ok(report) => report,
-        Err(e) => {
-            let recorded = world.state.lock().fault.take();
-            return Err(recorded.unwrap_or_else(|| {
-                MpiFault::Engine(annotate_recovery_error(e, verified, &ckpts))
-            }));
-        }
-    };
+        engine.run().map_err(|e| annotate_recovery_error(e, verified, &ckpts))
+    })?;
     stats.windows_verified = verified;
     stats.recovery_wall = recovery_start.elapsed();
     RECOVERY_WINDOWS_RECORDED.fetch_add(stats.windows_recorded, Ordering::Relaxed);
     RECOVERY_WINDOWS_VERIFIED.fetch_add(verified, Ordering::Relaxed);
     RECOVERY_WALL_US.fetch_add(stats.recovery_wall.as_micros() as u64, Ordering::Relaxed);
-    let mut out = collect_run(&world, results, report.end_time, report.events, 1)?;
     out.recovery = Some(stats);
     Ok(out)
 }
@@ -778,7 +744,7 @@ fn annotate_recovery_error(e: des::SimError, verified: u64, ckpts: &des::CkptLog
 /// Collect a finished run's per-rank tallies and results into an [`MpiRun`].
 fn collect_run<R>(
     world: &World,
-    results: Arc<Mutex<Vec<Option<R>>>>,
+    results: Results<R>,
     elapsed: SimTime,
     events: u64,
     shards: u32,
@@ -1049,49 +1015,21 @@ impl Rank {
         let cross = self.cross_shard(dst);
 
         if proto.needs_rendezvous(bytes) {
-            if cross {
-                self.push_packet(Packet::Rts {
-                    depart: self.ctx.now(),
-                    src: self.rank,
-                    dst,
-                    tag,
-                    msg,
-                    sender_pid: self.ctx.pid(),
-                });
-                // Wait until the receiver completes the transfer; the
-                // barrier applier delivers its wake.
-                self.park_or_die(self.recv_deadline(), Some(dst)).await;
-                self.phase_end("send");
-                return;
-            }
             // RTS: a minimal frame to the receiver.
-            let wake = {
-                let mut st = world.state.lock();
-                self.stamp_guard_source(&mut st);
-                let depart = self.ctx.now();
-                let rts_arrival = st.net.transmit(depart, src_node, dst_node, 128);
-                st.stats.messages += 1;
-                st.stats.payload_bytes += bytes;
-                let my_pid = st.ranks[self.rank as usize].pid.unwrap();
-                let dst_state = &mut st.ranks[dst as usize];
-                dst_state.mailbox.push_back(InMsg {
-                    src: self.rank,
-                    tag,
-                    msg,
-                    delivery: Delivery::Rendezvous { sender_pid: my_pid, rts_arrival },
-                });
-                match dst_state.pending {
-                    Some(f) if matches(&f, self.rank, tag) => {
-                        dst_state.pending = None;
-                        Some((dst_state.pid.unwrap(), self.ctx.now().max(rts_arrival)))
-                    }
-                    _ => None,
+            let (depart, src, sender_pid) = (self.ctx.now(), self.rank, self.ctx.pid());
+            if cross {
+                self.push_packet(Packet::Rts { depart, src, dst, tag, msg, sender_pid });
+            } else {
+                let wake = {
+                    let mut st = world.state.lock();
+                    self.stamp_guard_source(&mut st);
+                    world.enqueue_rts(&mut st, depart, src, dst, tag, msg, sender_pid)
+                };
+                self.emit_trace(TraceEvent::MsgEnqueue { src, dst, tag, bytes });
+                self.mc_touch_delivery(dst, src_node, dst_node);
+                if let Some((pid, at)) = wake {
+                    self.ctx.wake_at(pid, at);
                 }
-            };
-            self.emit_trace(TraceEvent::MsgEnqueue { src: self.rank, dst, tag, bytes });
-            self.mc_touch_delivery(dst, src_node, dst_node);
-            if let Some((pid, at)) = wake {
-                self.ctx.wake_at(pid, at);
             }
             // Wait until the receiver completes the transfer and wakes us
             // (bounded by our own crash and the per-message timeout).
@@ -1104,26 +1042,10 @@ impl Rank {
         // A dropped frame costs an exponential backoff and a retransmission;
         // exhausting the budget fails the run.
         let retry = world.spec.retry;
-        let mc = des::mc::current();
         let mut attempts = 0u32;
         loop {
             let depart = self.ctx.now();
-            let dropped = {
-                let mut st = world.state.lock();
-                let loss = st.net.loss_probability(src_node, dst_node, depart);
-                // Inside a loss window a model-checking controller overrides
-                // the seeded draw with an adversarial verdict; the RNG is
-                // not advanced, and outside MC the draw order is untouched.
-                let dropped = match &mc {
-                    Some(ctl) => loss > 0.0 && ctl.decide_drop(),
-                    None => loss > 0.0 && st.rng.next_f64() < loss,
-                };
-                if dropped {
-                    st.stats.retransmits += 1;
-                }
-                dropped
-            };
-            if !dropped {
+            if !world.state.lock().draw_drop(src_node, dst_node, depart) {
                 break;
             }
             attempts += 1;
@@ -1139,83 +1061,29 @@ impl Rank {
             self.advance_comm_or_die(backoff(retry.retrans_base, attempts)).await;
         }
 
+        let (depart, src) = (self.ctx.now(), self.rank);
         if cross {
             // Wire reservation, enqueue, and pending-receive wake are
             // deferred to the barrier; the sender's own injection cost is
             // purely local and advances inline, exactly as below.
-            self.push_packet(Packet::Eager {
-                depart: self.ctx.now(),
-                src: self.rank,
-                dst,
-                tag,
-                msg,
-            });
-            let injection = SimTime::from_secs_f64(bytes as f64 / world.cpu_stage_rate());
-            self.ctx.advance(injection).await;
-            self.tally_comm(injection);
-            self.phase_end("send");
-            return;
-        }
-
-        let injection;
-        let flow_started;
-        {
-            let mut st = world.state.lock();
-            self.stamp_guard_source(&mut st);
-            let depart = self.ctx.now();
-            let wire = world.framed(bytes);
-            let link_bw = st.net.link_bw_bytes;
-            st.stats.messages += 1;
-            st.stats.payload_bytes += bytes;
-            // Under the flow model a cross-node payload rides a fluid flow:
-            // its arrival time emerges from fair sharing as the receiver
-            // polls, so the receiver is woken immediately to start polling.
-            // Same-node transfers never cross a link and keep the event
-            // path's (reservation-free) timing under both models.
-            let use_flow = world.net_model == NetModel::Flow && src_node != dst_node;
-            let delivery = if use_flow {
-                let extra = st.net.path_latency(src_node, dst_node)
-                    + world.endpoint_extra_serial(bytes, link_bw);
-                let id = st
-                    .flows
-                    .as_mut()
-                    .expect("flow model without flow net")
-                    .start(depart, depart, src_node, dst_node, wire);
-                Delivery::Flow { id, extra }
-            } else {
-                let arrival = st.net.transmit(depart, src_node, dst_node, wire)
-                    + world.endpoint_extra_serial(bytes, link_bw);
-                Delivery::Eager { available_at: arrival }
+            self.push_packet(Packet::Eager { depart, src, dst, tag, msg });
+        } else {
+            let wake = {
+                let mut st = world.state.lock();
+                self.stamp_guard_source(&mut st);
+                world.enqueue_eager(&mut st, depart, src, dst, tag, msg)
             };
-            let wake_floor = match delivery {
-                Delivery::Eager { available_at } => available_at,
-                _ => depart,
-            };
-            let dst_state = &mut st.ranks[dst as usize];
-            dst_state.mailbox.push_back(InMsg { src: self.rank, tag, msg, delivery });
-            let wake = if let Some(f) = dst_state.pending {
-                if matches(&f, self.rank, tag) {
-                    dst_state.pending = None;
-                    Some((dst_state.pid.unwrap(), self.ctx.now().max(wake_floor)))
-                } else {
-                    None
-                }
-            } else {
-                None
-            };
-            drop(st);
-            self.emit_trace(TraceEvent::MsgEnqueue { src: self.rank, dst, tag, bytes });
-            flow_started = use_flow;
+            self.emit_trace(TraceEvent::MsgEnqueue { src, dst, tag, bytes });
             self.mc_touch_delivery(dst, src_node, dst_node);
             if let Some((pid, at)) = wake {
                 self.ctx.wake_at(pid, at);
             }
-            injection = SimTime::from_secs_f64(bytes as f64 / world.cpu_stage_rate());
-        }
-        if flow_started && self.tracing() {
-            self.emit_trace(TraceEvent::FlowStart { src: self.rank, dst, bytes });
+            if self.tracing() && world.rides_flow(src_node, dst_node) {
+                self.emit_trace(TraceEvent::FlowStart { src, dst, bytes });
+            }
         }
         // The sender's CPU is busy injecting the payload.
+        let injection = world.injection(bytes);
         self.ctx.advance(injection).await;
         self.tally_comm(injection);
         self.phase_end("send");
@@ -1357,113 +1225,49 @@ impl Rank {
     pub(crate) async fn send_flows_batched(&mut self, tag: u32, outgoing: Vec<(u32, Msg)>) {
         self.check_crashed();
         let world = Arc::clone(&self.world);
-        let proto = world.spec.proto;
-        let n = outgoing.len() as u64;
-        let o_s = proto.send_overhead(&world.ep);
-        self.advance_comm_or_die(o_s * n).await;
-        let src_node = world.spec.node_of(self.rank);
+        let o_s = world.spec.proto.send_overhead(&world.ep);
+        self.advance_comm_or_die(o_s * outgoing.len() as u64).await;
+        let (depart, src) = (self.ctx.now(), self.rank);
         let mut total_bytes = 0u64;
-        let mut wakes: Vec<des::Pid> = Vec::new();
-        let mut enqueued: Vec<(u32, u32, u64)> = Vec::with_capacity(outgoing.len());
-        let depart = self.ctx.now();
+        let mut wakes: Vec<Wake> = Vec::new();
+        let mut enqueued: Vec<(u32, u64)> = Vec::with_capacity(outgoing.len());
         {
             let mut st = world.state.lock();
-            let st = &mut *st;
-            let link_bw = st.net.link_bw_bytes;
             for (dst, msg) in outgoing {
-                let bytes = msg.bytes;
-                total_bytes += bytes;
-                let dst_node = world.spec.node_of(dst);
-                let wire = world.framed(bytes);
-                st.stats.messages += 1;
-                st.stats.payload_bytes += bytes;
-                let extra = st.net.path_latency(src_node, dst_node)
-                    + world.endpoint_extra_serial(bytes, link_bw);
-                let id = st
-                    .flows
-                    .as_mut()
-                    .expect("flow model without flow net")
-                    .start(depart, depart, src_node, dst_node, wire);
-                let dst_state = &mut st.ranks[dst as usize];
-                dst_state.mailbox.push_back(InMsg {
-                    src: self.rank,
-                    tag,
-                    msg,
-                    delivery: Delivery::Flow { id, extra },
-                });
-                if let Some(f) = dst_state.pending {
-                    if matches(&f, self.rank, tag) {
-                        dst_state.pending = None;
-                        wakes.push(dst_state.pid.unwrap());
-                    }
-                }
-                enqueued.push((dst, dst_node, bytes));
+                total_bytes += msg.bytes;
+                enqueued.push((dst, msg.bytes));
+                wakes.extend(world.enqueue_eager(&mut st, depart, src, dst, tag, msg));
             }
         }
         if self.tracing() || des::mc::current().is_some() {
-            for &(dst, dst_node, bytes) in &enqueued {
+            let src_node = world.spec.node_of(src);
+            for &(dst, bytes) in &enqueued {
                 if self.tracing() {
-                    self.emit_trace(TraceEvent::MsgEnqueue { src: self.rank, dst, tag, bytes });
-                    self.emit_trace(TraceEvent::FlowStart { src: self.rank, dst, bytes });
+                    self.emit_trace(TraceEvent::MsgEnqueue { src, dst, tag, bytes });
+                    self.emit_trace(TraceEvent::FlowStart { src, dst, bytes });
                 }
-                self.mc_touch_delivery(dst, src_node, dst_node);
+                self.mc_touch_delivery(dst, src_node, world.spec.node_of(dst));
             }
         }
-        for pid in wakes {
-            self.ctx.wake_at(pid, depart);
+        for (pid, at) in wakes {
+            self.ctx.wake_at(pid, at);
         }
-        let injection = SimTime::from_secs_f64(total_bytes as f64 / world.cpu_stage_rate());
+        let injection = world.injection(total_bytes);
         self.ctx.advance(injection).await;
         self.tally_comm(injection);
     }
 
-    /// Receiver half of the fast path: take the `(src, tag)` message off the
-    /// wire *without* charging the per-message receive overhead — the caller
-    /// batches all of them in one [`Rank::batch_recv_overhead`] advance.
-    pub(crate) async fn recv_wire(&mut self, src: u32, tag: u32) -> Msg {
-        self.check_crashed();
-        let filter = (Some(src), Some(tag));
-        let timeout_at = self.recv_deadline();
-        loop {
-            match self.scan_mailbox(&filter) {
-                Scan::Deliver(m) => {
-                    if self.tracing() {
-                        if matches!(m.delivery, Delivery::Flow { .. }) {
-                            self.emit_trace(TraceEvent::FlowFinish {
-                                src: m.src,
-                                dst: self.rank,
-                                bytes: m.msg.bytes,
-                            });
-                        }
-                        self.emit_trace(TraceEvent::MsgDeliver {
-                            src: m.src,
-                            dst: self.rank,
-                            tag: m.tag,
-                            bytes: m.msg.bytes,
-                        });
-                    }
-                    return m.msg;
-                }
-                Scan::WaitWire(at) => self.advance_to_or_die(at).await,
-                Scan::WaitFlow(at, flows) => {
-                    self.advance_to_or_die(at).await;
-                    if self.tracing() {
-                        self.emit_trace(TraceEvent::FlowReshare { rank: self.rank, flows });
-                    }
-                }
-                Scan::Park => self.park_or_die(timeout_at, Some(src)).await,
-            }
-        }
-    }
-
-    /// Fully batched receiver half of the fast path: drain every peer's
-    /// `tag` message in whole-mailbox passes under one lock. Each pass takes
-    /// everything that has arrived and computes one wake — the earliest
-    /// arrival or flow transition across ALL still-missing messages — so a
-    /// P-way fan-in costs O(flow transitions) lock round-trips instead of
-    /// O(P). Used when tracing is off; traced runs go through
-    /// [`Rank::recv_wire`] per peer, which emits the per-message flow events
-    /// in their documented order.
+    /// Receiver half of the fast path: drain every peer's `tag` message in
+    /// whole-mailbox passes under one lock, *without* charging the
+    /// per-message receive overhead — the caller batches all of them in one
+    /// [`Rank::batch_recv_overhead`] advance. Each pass takes everything that
+    /// has arrived and computes one wake — the earliest arrival or flow
+    /// transition across ALL still-missing messages — so a P-way fan-in
+    /// costs O(flow transitions) lock round-trips instead of O(P).
+    ///
+    /// Tracing only observes: a traced run emits `flow_finish` and
+    /// `msg_deliver` for each message in the order a pass takes it, and
+    /// `flow_reshare` for each wake at a flow transition.
     ///
     /// `out[src]` slots that are `Some` (own rank, already received) are
     /// skipped; every `None` slot is filled before returning.
@@ -1471,19 +1275,25 @@ impl Rank {
         self.check_crashed();
         let world = Arc::clone(&self.world);
         let timeout_at = self.recv_deadline();
+        let me = self.rank;
         let mut missing = out.iter().filter(|m| m.is_none()).count();
+        // `(src, bytes, rode a flow)` of each message taken, when tracing.
+        let mut taken: Vec<(u32, u64, bool)> = Vec::new();
         while missing > 0 {
             enum Step {
-                Wait(SimTime),
+                /// Advance to the earliest arrival; `Some(flows)` when it is
+                /// a flow transition with that many live flows.
+                Wait(SimTime, Option<u64>),
                 Park,
             }
+            let tracing = self.tracing();
             let step = {
                 let mut st = world.state.lock();
                 let st = &mut *st;
                 let now = self.ctx.now();
-                let me_idx = self.rank as usize;
+                let me_idx = me as usize;
                 st.ranks[me_idx].pending = None;
-                let mut wake: Option<SimTime> = None;
+                let mut wake: Option<(SimTime, Option<u64>)> = None;
                 let mut i = 0;
                 while i < st.ranks[me_idx].mailbox.len() {
                     let m = &st.ranks[me_idx].mailbox[i];
@@ -1494,7 +1304,7 @@ impl Rank {
                     let delivery = m.delivery;
                     let arrival = match delivery {
                         Delivery::Eager { available_at } => {
-                            (available_at > now).then_some(available_at)
+                            (available_at > now).then_some((available_at, None))
                         }
                         Delivery::Flow { id, extra } => {
                             let flows = st.flows.as_mut().expect("flow delivery without flow net");
@@ -1503,8 +1313,10 @@ impl Rank {
                                     flows.consume(id);
                                     None
                                 }
-                                FlowStatus::Done { at } => Some(at + extra),
-                                FlowStatus::InFlight { wake, .. } => Some(wake),
+                                FlowStatus::Done { at } => Some((at + extra, None)),
+                                FlowStatus::InFlight { wake, flows } => {
+                                    Some((wake, Some(flows as u64)))
+                                }
                             }
                         }
                         Delivery::Rendezvous { .. } => {
@@ -1514,19 +1326,25 @@ impl Rank {
                     match arrival {
                         None => {
                             let m = st.ranks[me_idx].mailbox.remove(i).unwrap();
+                            if tracing {
+                                let flow = matches!(m.delivery, Delivery::Flow { .. });
+                                taken.push((m.src, m.msg.bytes, flow));
+                            }
                             out[m.src as usize] = Some(m.msg);
                             missing -= 1;
                         }
-                        Some(at) => {
-                            wake = Some(wake.map_or(at, |w| w.min(at)));
+                        Some((at, flows)) => {
+                            if wake.is_none_or(|(w, _)| at < w) {
+                                wake = Some((at, flows));
+                            }
                             i += 1;
                         }
                     }
                 }
                 if missing == 0 {
                     None
-                } else if let Some(at) = wake {
-                    Some(Step::Wait(at))
+                } else if let Some((at, flows)) = wake {
+                    Some(Step::Wait(at, flows))
                 } else {
                     // Nothing matched yet: park until any sender with this
                     // tag delivers.
@@ -1534,9 +1352,20 @@ impl Rank {
                     Some(Step::Park)
                 }
             };
+            for (src, bytes, flow) in taken.drain(..) {
+                if flow {
+                    self.emit_trace(TraceEvent::FlowFinish { src, dst: me, bytes });
+                }
+                self.emit_trace(TraceEvent::MsgDeliver { src, dst: me, tag, bytes });
+            }
             match step {
                 None => break,
-                Some(Step::Wait(at)) => self.advance_to_or_die(at).await,
+                Some(Step::Wait(at, flows)) => {
+                    self.advance_to_or_die(at).await;
+                    if let (true, Some(flows)) = (self.tracing(), flows) {
+                        self.emit_trace(TraceEvent::FlowReshare { rank: me, flows });
+                    }
+                }
                 Some(Step::Park) => self.park_or_die(timeout_at, None).await,
             }
         }
@@ -1604,11 +1433,10 @@ impl Rank {
         rts_arrival: SimTime,
     ) -> (u32, u32, Msg) {
         let world = Arc::clone(&self.world);
-        let proto = world.spec.proto;
-        let retry = world.spec.retry;
+        let o_r = world.spec.proto.recv_overhead(&world.ep);
+        let (dst, bytes) = (self.rank, msg.bytes);
         // Process the RTS once it has arrived.
         self.advance_to_or_die(rts_arrival).await;
-        let o_r = proto.recv_overhead(&world.ep);
         self.advance_comm_or_die(o_r).await;
 
         if self.cross_shard(src) {
@@ -1616,116 +1444,39 @@ impl Rank {
             // so the whole CTS/bulk-transfer timing resolves at the window
             // barrier (see `crate::shard`). Park until the applier wakes us
             // at the bulk data's arrival; it wakes the sender too.
-            self.push_packet(Packet::RdvComplete {
-                at: self.ctx.now(),
-                src,
-                dst: self.rank,
-                bytes: msg.bytes,
-                sender_pid,
-                receiver_pid: self.ctx.pid(),
-            });
+            let (at, receiver_pid) = (self.ctx.now(), self.ctx.pid());
+            self.push_packet(Packet::RdvComplete { at, src, dst, bytes, sender_pid, receiver_pid });
             self.ctx.park().await;
-            let o_r2 = proto.recv_overhead(&world.ep);
-            self.advance_comm_or_die(o_r2).await;
-            self.emit_trace(TraceEvent::MsgDeliver { src, dst: self.rank, tag, bytes: msg.bytes });
-            return (src, tag, msg);
-        }
-
-        let src_node = world.spec.node_of(src);
-        let dst_node = world.spec.node_of(self.rank);
-        // As on the eager path, cross-node bulk data rides a fluid flow under
-        // the flow model; its arrival emerges from fair sharing below.
-        let use_flow = world.net_model == NetModel::Flow && src_node != dst_node;
-        let (data_arrival, sender_done, bulk_drops) = {
-            let mut st = world.state.lock();
-            self.stamp_guard_source(&mut st);
-            let now = self.ctx.now();
-            // CTS travels back; the sender starts the bulk transfer on its
-            // arrival. The RTS/CTS control frames are assumed reliable; loss
-            // applies to the bulk transfer below.
-            let cts_arrival = st.net.transmit(now, dst_node, src_node, 128)
-                + proto.send_overhead(&world.ep)
-                + proto.recv_overhead(&world.ep);
-            let wire = world.framed(msg.bytes);
-            let link_bw = st.net.link_bw_bytes;
-            // Push the bulk transfer through any loss window: each drop
-            // delays the (remote) sender's departure by the backoff.
-            let mut bulk_depart = cts_arrival;
-            let mut attempts = 0u32;
-            let mc = des::mc::current();
-            loop {
-                let loss = st.net.loss_probability(src_node, dst_node, bulk_depart);
-                // As in the eager path, a model-checking controller decides
-                // drops adversarially without advancing the seeded RNG.
-                let dropped = match &mc {
-                    Some(ctl) => loss > 0.0 && ctl.decide_drop(),
-                    None => loss > 0.0 && st.rng.next_f64() < loss,
-                };
-                if dropped {
-                    st.stats.retransmits += 1;
-                    attempts += 1;
-                    if attempts > retry.max_retries {
-                        drop(st);
-                        self.die(MpiFault::Timeout {
-                            rank: self.rank,
-                            peer: Some(src),
-                            at: bulk_depart,
-                            attempts,
-                        });
-                    }
-                    bulk_depart += backoff(retry.retrans_base, attempts);
-                    continue;
-                }
-                break;
-            }
-            let data_arrival: Result<SimTime, (netsim::FlowId, SimTime)> = if use_flow {
-                let extra = st.net.path_latency(src_node, dst_node)
-                    + world.endpoint_extra_serial(msg.bytes, link_bw);
-                let id = st.flows.as_mut().expect("flow model without flow net").start(
-                    now,
-                    bulk_depart,
-                    src_node,
-                    dst_node,
-                    wire,
-                );
-                Err((id, extra))
-            } else {
-                Ok(st.net.transmit(bulk_depart, src_node, dst_node, wire)
-                    + world.endpoint_extra_serial(msg.bytes, link_bw))
+        } else {
+            let bulk = {
+                let mut st = world.state.lock();
+                self.stamp_guard_source(&mut st);
+                world.complete_rendezvous(&mut st, self.ctx.now(), src, dst, bytes)
             };
-            let injection = SimTime::from_secs_f64(msg.bytes as f64 / world.cpu_stage_rate());
-            let sender_done = (bulk_depart + injection).max(now);
-            (data_arrival, sender_done, attempts)
-        };
-        if self.tracing() {
-            for attempt in 1..=bulk_drops {
-                self.emit_trace(TraceEvent::MsgDrop { src, dst: self.rank, attempt });
-            }
-        }
-        self.ctx.wake_at(sender_pid, sender_done);
-        match data_arrival {
-            Ok(at) => self.advance_to_or_die(at).await,
-            Err((id, extra)) => {
-                if self.tracing() {
-                    self.emit_trace(TraceEvent::FlowStart {
-                        src,
-                        dst: self.rank,
-                        bytes: msg.bytes,
-                    });
+            let bulk = bulk.unwrap_or_else(|RetriesExhausted { at, attempts }| {
+                self.die(MpiFault::Timeout { rank: dst, peer: Some(src), at, attempts })
+            });
+            if self.tracing() {
+                for attempt in 1..=bulk.drops {
+                    self.emit_trace(TraceEvent::MsgDrop { src, dst, attempt });
                 }
-                self.await_flow(id, extra).await;
-                if self.tracing() {
-                    self.emit_trace(TraceEvent::FlowFinish {
-                        src,
-                        dst: self.rank,
-                        bytes: msg.bytes,
-                    });
+            }
+            self.ctx.wake_at(sender_pid, bulk.sender_done);
+            match bulk.data {
+                BulkData::Arrives(at) => self.advance_to_or_die(at).await,
+                BulkData::Flow(id, extra) => {
+                    if self.tracing() {
+                        self.emit_trace(TraceEvent::FlowStart { src, dst, bytes });
+                    }
+                    self.await_flow(id, extra).await;
+                    if self.tracing() {
+                        self.emit_trace(TraceEvent::FlowFinish { src, dst, bytes });
+                    }
                 }
             }
         }
-        let o_r2 = proto.recv_overhead(&world.ep);
-        self.advance_comm_or_die(o_r2).await;
-        self.emit_trace(TraceEvent::MsgDeliver { src, dst: self.rank, tag, bytes: msg.bytes });
+        self.advance_comm_or_die(o_r).await;
+        self.emit_trace(TraceEvent::MsgDeliver { src, dst, tag, bytes });
         (src, tag, msg)
     }
 
@@ -1769,11 +1520,6 @@ enum Scan {
     WaitFlow(SimTime, u64),
     /// Nothing matched: park until a sender wakes us.
     Park,
-}
-
-/// Bounded exponential backoff: `base * 2^(attempt-1)`, capped at `base * 64`.
-fn backoff(base: SimTime, attempt: u32) -> SimTime {
-    base * (1u64 << (attempt.saturating_sub(1)).min(6))
 }
 
 #[cfg(test)]

@@ -7,17 +7,19 @@
 //! [`Packet`] in the sending shard's outbox, and
 //! [`apply_cross_packets`] replays all buffered packets sequentially at the
 //! window barrier, in the canonical order `(time, source shard, per-shard
-//! sequence)`, mirroring the exact lock-section the serial engine would have
-//! executed inline. The conservative window bound (every packet's effect
+//! sequence)`. Each replay calls the same delivery function
+//! (`World::enqueue_eager`, `World::enqueue_rts`,
+//! `World::complete_rendezvous`) that the serial engine's lock section calls
+//! inline, so there is one copy of the delivery arithmetic; only the wake's
+//! route differs. The conservative window bound (every packet's effect
 //! lands at or after the window end, because it rides at least one
 //! cross-partition link) guarantees no shard has advanced past the times
 //! being written, so the replay is indistinguishable from the serial
 //! schedule — byte-identical results.
 //!
-//! Timing-sensitive network state (link reservations via
-//! `Network::transmit`) is only mutated here for cross-shard traffic;
-//! intra-shard traffic reserves inline as always. The shard planner only
-//! accepts partitions whose intra-shard routes use disjoint links
+//! Cross-shard traffic reserves its links (`Network::transmit`) only during
+//! this replay; intra-shard traffic reserves inline as always. The shard
+//! planner only accepts partitions whose intra-shard routes use disjoint links
 //! (`Network::partition_isolates_links`), which is what makes the two
 //! reservation streams commute — *except* on the links a cross-shard route
 //! shares with its endpoints' local traffic, where a barrier replay can
@@ -35,7 +37,7 @@ use netsim::GUARD_REPLAY_SOURCE;
 use parking_lot::Mutex;
 
 use crate::payload::Msg;
-use crate::world::{matches, Delivery, InMsg, World, WorldState};
+use crate::world::{BulkData, Wake, World, WorldState};
 
 /// One deferred cross-shard interaction, replayed at the window barrier.
 #[derive(Debug)]
@@ -178,86 +180,37 @@ pub(crate) fn apply_cross_packets(
     ExchangeOutcome::Applied(applied)
 }
 
-/// Replay one packet: the exact arithmetic of the serial path's lock
-/// section, with the wake routed through the destination rank's shard.
-/// Sharded runs are planned only for clean (lossless, untraced, un-model-
-/// checked) jobs, so the serial path's loss draws, trace emissions, and MC
-/// footprints are structurally absent here — not skipped.
+/// Replay one packet by calling the same delivery function the serial
+/// path's lock section calls ([`World::enqueue_eager`],
+/// [`World::enqueue_rts`], [`World::complete_rendezvous`]), routing each
+/// wake through the woken rank's shard. Sharded runs are planned only for
+/// clean (lossless, event-network, untraced, un-model-checked) jobs, so a
+/// replay never draws a loss, starts a flow, or emits a trace or MC
+/// footprint.
 fn apply_one(world: &World, st: &mut WorldState, ctx: &ShardCtx, wakers: &ShardWakers, p: Packet) {
+    let wake = |rank: u32, (pid, at): Wake| {
+        wakers.wake_at(ctx.shard_of_rank[rank as usize] as usize, pid, at);
+    };
     match p {
         Packet::Eager { depart, src, dst, tag, msg } => {
-            let src_node = world.spec.node_of(src);
-            let dst_node = world.spec.node_of(dst);
-            let bytes = msg.bytes;
-            let wire = world.framed(bytes);
-            let link_bw = st.net.link_bw_bytes;
-            st.stats.messages += 1;
-            st.stats.payload_bytes += bytes;
-            let arrival = st.net.transmit(depart, src_node, dst_node, wire)
-                + world.endpoint_extra_serial(bytes, link_bw);
-            let dst_state = &mut st.ranks[dst as usize];
-            dst_state.mailbox.push_back(InMsg {
-                src,
-                tag,
-                msg,
-                delivery: Delivery::Eager { available_at: arrival },
-            });
-            if let Some(f) = dst_state.pending {
-                if matches(&f, src, tag) {
-                    dst_state.pending = None;
-                    let pid = dst_state.pid.unwrap();
-                    wakers.wake_at(
-                        ctx.shard_of_rank[dst as usize] as usize,
-                        pid,
-                        depart.max(arrival),
-                    );
-                }
+            if let Some(w) = world.enqueue_eager(st, depart, src, dst, tag, msg) {
+                wake(dst, w);
             }
         }
         Packet::Rts { depart, src, dst, tag, msg, sender_pid } => {
-            let src_node = world.spec.node_of(src);
-            let dst_node = world.spec.node_of(dst);
-            let rts_arrival = st.net.transmit(depart, src_node, dst_node, 128);
-            st.stats.messages += 1;
-            st.stats.payload_bytes += msg.bytes;
-            let dst_state = &mut st.ranks[dst as usize];
-            dst_state.mailbox.push_back(InMsg {
-                src,
-                tag,
-                msg,
-                delivery: Delivery::Rendezvous { sender_pid, rts_arrival },
-            });
-            if let Some(f) = dst_state.pending {
-                if matches(&f, src, tag) {
-                    dst_state.pending = None;
-                    let pid = dst_state.pid.unwrap();
-                    wakers.wake_at(
-                        ctx.shard_of_rank[dst as usize] as usize,
-                        pid,
-                        depart.max(rts_arrival),
-                    );
-                }
+            if let Some(w) = world.enqueue_rts(st, depart, src, dst, tag, msg, sender_pid) {
+                wake(dst, w);
             }
         }
         Packet::RdvComplete { at, src, dst, bytes, sender_pid, receiver_pid } => {
-            let src_node = world.spec.node_of(src);
-            let dst_node = world.spec.node_of(dst);
-            let proto = world.spec.proto;
-            // CTS travels back; the sender starts the bulk transfer on its
-            // arrival (control frames assumed reliable, as on the serial
-            // path; no loss windows exist on an eligible run).
-            let cts_arrival = st.net.transmit(at, dst_node, src_node, 128)
-                + proto.send_overhead(&world.ep)
-                + proto.recv_overhead(&world.ep);
-            let wire = world.framed(bytes);
-            let link_bw = st.net.link_bw_bytes;
-            let bulk_depart = cts_arrival;
-            let data_arrival = st.net.transmit(bulk_depart, src_node, dst_node, wire)
-                + world.endpoint_extra_serial(bytes, link_bw);
-            let injection = SimTime::from_secs_f64(bytes as f64 / world.cpu_stage_rate());
-            let sender_done = (bulk_depart + injection).max(at);
-            wakers.wake_at(ctx.shard_of_rank[src as usize] as usize, sender_pid, sender_done);
-            wakers.wake_at(ctx.shard_of_rank[dst as usize] as usize, receiver_pid, data_arrival);
+            let bulk = world
+                .complete_rendezvous(st, at, src, dst, bytes)
+                .expect("shard-eligible jobs have no loss windows");
+            let BulkData::Arrives(data_arrival) = bulk.data else {
+                unreachable!("shard-eligible jobs run on the event network")
+            };
+            wake(src, (sender_pid, bulk.sender_done));
+            wake(dst, (receiver_pid, data_arrival));
         }
     }
 }

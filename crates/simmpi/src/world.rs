@@ -32,6 +32,9 @@ use crate::payload::Msg;
 /// IFG, amortised).
 const FRAME_BYTES: u64 = 64;
 
+/// Wire size of a rendezvous RTS or CTS control frame.
+const CONTROL_FRAME_BYTES: u64 = 128;
+
 /// Specification of a simulated MPI job.
 #[derive(Clone, Debug)]
 pub struct JobSpec {
@@ -395,6 +398,78 @@ pub(crate) struct WorldState {
     pub rng: SimRng,
 }
 
+/// A receiver to wake and when. The delivery functions return it; the
+/// caller routes it (`ProcCtx::wake_at` inline, `ShardWakers` at a barrier
+/// replay).
+pub(crate) type Wake = (Pid, SimTime);
+
+/// Where a rendezvous bulk transfer's data lands.
+pub(crate) enum BulkData {
+    /// Event network: the last byte's arrival at the receiver.
+    Arrives(SimTime),
+    /// Flow network: the flow carrying the data, plus the endpoint time
+    /// past its network completion.
+    Flow(netsim::FlowId, SimTime),
+}
+
+/// The rendezvous bulk transfer, as decided when the receiver clears it.
+pub(crate) struct Bulk {
+    /// Where the data lands.
+    pub data: BulkData,
+    /// When the sender has injected the payload and is released.
+    pub sender_done: SimTime,
+    /// Bulk transmissions lost on a lossy link before one got through.
+    pub drops: u32,
+}
+
+/// A transmission ran out of retransmissions on a lossy link.
+#[derive(Debug)]
+pub(crate) struct RetriesExhausted {
+    /// Departure time of the last attempt.
+    pub at: SimTime,
+    /// Transmissions lost.
+    pub attempts: u32,
+}
+
+/// Bounded exponential backoff: `base * 2^(attempt-1)`, capped at `base * 64`.
+pub(crate) fn backoff(base: SimTime, attempt: u32) -> SimTime {
+    base * (1u64 << (attempt.saturating_sub(1)).min(6))
+}
+
+impl WorldState {
+    /// Draw whether a transmission from `src_node` to `dst_node` departing
+    /// at `at` is lost, counting a retransmit when it is. Outside a loss
+    /// window nothing is drawn; inside one, a model-checking controller
+    /// decides adversarially without advancing the seeded RNG.
+    pub(crate) fn draw_drop(&mut self, src_node: u32, dst_node: u32, at: SimTime) -> bool {
+        let loss = self.net.loss_probability(src_node, dst_node, at);
+        let dropped = loss > 0.0
+            && match des::mc::current() {
+                Some(ctl) => ctl.decide_drop(),
+                None => self.rng.next_f64() < loss,
+            };
+        if dropped {
+            self.stats.retransmits += 1;
+        }
+        dropped
+    }
+
+    /// Push `m` to rank `dst`'s mailbox. If `dst` is parked on a receive
+    /// that matches it, clear the posted filter and return its wake at `at`.
+    fn push_mailbox(&mut self, dst: u32, m: InMsg, at: SimTime) -> Option<Wake> {
+        let (src, tag) = (m.src, m.tag);
+        let rank = &mut self.ranks[dst as usize];
+        rank.mailbox.push_back(m);
+        match rank.pending {
+            Some(f) if matches(&f, src, tag) => {
+                rank.pending = None;
+                Some((rank.pid.expect("a pending receiver has a pid"), at))
+            }
+            _ => None,
+        }
+    }
+}
+
 /// The shared world of one job.
 pub struct World {
     pub(crate) spec: JobSpec,
@@ -482,6 +557,129 @@ impl World {
             return SimTime::ZERO;
         }
         SimTime::from_secs_f64(bytes as f64 * (1.0 / total - 1.0 / wire))
+    }
+
+    /// CPU time a sender spends injecting `bytes`.
+    pub(crate) fn injection(&self, bytes: u64) -> SimTime {
+        SimTime::from_secs_f64(bytes as f64 / self.cpu_stage_rate())
+    }
+
+    /// Whether a transfer between two nodes rides a fluid flow: under the
+    /// flow model, a cross-node payload does; same-node transfers never
+    /// cross a link and keep the event path's reservation-free timing under
+    /// both models.
+    pub(crate) fn rides_flow(&self, src_node: u32, dst_node: u32) -> bool {
+        self.net_model == NetModel::Flow && src_node != dst_node
+    }
+
+    /// The run's outcome after its engine failed with `e`: the fault a rank
+    /// recorded before it unwound on purpose, else the engine error itself.
+    pub(crate) fn take_fault(&self, e: des::SimError) -> MpiFault {
+        self.state.lock().fault.take().unwrap_or(MpiFault::Engine(e))
+    }
+
+    // The delivery decisions. Each has one implementation, here, called
+    // both inline by the rank's own process and by a sharded run's window
+    // barrier replay (`crate::shard`), so the two cannot drift apart. The
+    // caller holds the world lock, stamps the guard source, routes the
+    // returned wake and emits traces.
+
+    /// Eager enqueue of `msg` from `src` to `dst`, departing at `depart`:
+    /// count it, put it on the wire (a link reservation on the event
+    /// network, a flow on the flow network), push it to `dst`'s mailbox,
+    /// and return the wake of a matching receive that was pending.
+    pub(crate) fn enqueue_eager(
+        &self,
+        st: &mut WorldState,
+        depart: SimTime,
+        src: u32,
+        dst: u32,
+        tag: u32,
+        msg: Msg,
+    ) -> Option<Wake> {
+        let (src_node, dst_node) = (self.spec.node_of(src), self.spec.node_of(dst));
+        let bytes = msg.bytes;
+        let wire = self.framed(bytes);
+        let extra = self.endpoint_extra_serial(bytes, st.net.link_bw_bytes);
+        st.stats.messages += 1;
+        st.stats.payload_bytes += bytes;
+        let (delivery, ready) = if self.rides_flow(src_node, dst_node) {
+            // The arrival emerges from fair sharing as the receiver polls,
+            // so the receiver is woken at once to start polling.
+            let extra = st.net.path_latency(src_node, dst_node) + extra;
+            let flows = st.flows.as_mut().expect("flow model without flow net");
+            let id = flows.start(depart, depart, src_node, dst_node, wire);
+            (Delivery::Flow { id, extra }, depart)
+        } else {
+            let arrival = st.net.transmit(depart, src_node, dst_node, wire) + extra;
+            (Delivery::Eager { available_at: arrival }, arrival)
+        };
+        st.push_mailbox(dst, InMsg { src, tag, msg, delivery }, depart.max(ready))
+    }
+
+    /// Rendezvous RTS from `src` to `dst`, departing at `depart`: the
+    /// control frame's reservation, the message count, the mailbox push of
+    /// the pending transfer (`sender_pid` parks until it is cleared), and
+    /// the wake of a matching receive that was pending.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn enqueue_rts(
+        &self,
+        st: &mut WorldState,
+        depart: SimTime,
+        src: u32,
+        dst: u32,
+        tag: u32,
+        msg: Msg,
+        sender_pid: Pid,
+    ) -> Option<Wake> {
+        let (src_node, dst_node) = (self.spec.node_of(src), self.spec.node_of(dst));
+        let rts_arrival = st.net.transmit(depart, src_node, dst_node, CONTROL_FRAME_BYTES);
+        st.stats.messages += 1;
+        st.stats.payload_bytes += msg.bytes;
+        let delivery = Delivery::Rendezvous { sender_pid, rts_arrival };
+        st.push_mailbox(dst, InMsg { src, tag, msg, delivery }, depart.max(rts_arrival))
+    }
+
+    /// Rendezvous completion, decided by receiver `dst` at `at` once it has
+    /// processed the RTS of a `bytes`-byte message from `src`. The CTS rides
+    /// back, and the sender starts the bulk transfer on its arrival. The
+    /// RTS/CTS control frames are assumed reliable; each loss of the bulk
+    /// transfer delays the sender's departure by the backoff, until the
+    /// retry policy is exhausted. The data then rides a flow or a link
+    /// reservation, and the sender is released once it has injected it.
+    pub(crate) fn complete_rendezvous(
+        &self,
+        st: &mut WorldState,
+        at: SimTime,
+        src: u32,
+        dst: u32,
+        bytes: u64,
+    ) -> Result<Bulk, RetriesExhausted> {
+        let (src_node, dst_node) = (self.spec.node_of(src), self.spec.node_of(dst));
+        let proto = self.spec.proto;
+        let retry = self.spec.retry;
+        let cts_arrival = st.net.transmit(at, dst_node, src_node, CONTROL_FRAME_BYTES)
+            + proto.send_overhead(&self.ep)
+            + proto.recv_overhead(&self.ep);
+        let mut depart = cts_arrival;
+        let mut drops = 0u32;
+        while st.draw_drop(src_node, dst_node, depart) {
+            drops += 1;
+            if drops > retry.max_retries {
+                return Err(RetriesExhausted { at: depart, attempts: drops });
+            }
+            depart += backoff(retry.retrans_base, drops);
+        }
+        let wire = self.framed(bytes);
+        let extra = self.endpoint_extra_serial(bytes, st.net.link_bw_bytes);
+        let data = if self.rides_flow(src_node, dst_node) {
+            let extra = st.net.path_latency(src_node, dst_node) + extra;
+            let flows = st.flows.as_mut().expect("flow model without flow net");
+            BulkData::Flow(flows.start(at, depart, src_node, dst_node, wire), extra)
+        } else {
+            BulkData::Arrives(st.net.transmit(depart, src_node, dst_node, wire) + extra)
+        };
+        Ok(Bulk { data, sender_done: (depart + self.injection(bytes)).max(at), drops })
     }
 
     /// Order-insensitive digest of the message-visible world state for the

@@ -4,60 +4,40 @@
 //!    engine: virtual times, per-rank results and busy tallies, network
 //!    stats, and even the dispatched-event count — on both the eager and
 //!    the rendezvous protocol paths.
-//! 2. Process-wide defaults (`set_default_net_model`, `set_default_tracer`)
-//!    are snapshotted when a job starts: flipping them concurrently —
-//!    which is exactly what another shard's thread could do — can never
-//!    perturb a running job (the shard-safety regression test).
-//! 3. Ineligible jobs (flow model, node maps) silently fall back to the
+//! 2. Ineligible jobs (flow model, node maps) silently fall back to the
 //!    serial engine with identical results.
-//! 4. Schedules the reservation-order guard cannot prove serial-identical
+//! 3. Schedules the reservation-order guard cannot prove serial-identical
 //!    (e.g. wildcard receives) are condemned and recovered on one engine —
 //!    same bytes, `MpiRun::shards == 1`, with the recovery re-certifying
 //!    the condemned attempt's verified window checkpoints
 //!    (`MpiRun::recovery`).
-//! 5. On-disk checkpoints (`JobSpec::checkpoint_every` + `with_ckpt_dir`)
+//! 4. On-disk checkpoints (`JobSpec::checkpoint_every` + `with_ckpt_dir`)
 //!    let an identical later invocation certify a bit-identical resume.
 //!
-//! Every spec here pins `net_model` explicitly, so tests in this binary
-//! stay independent of each other's default flips.
+//! Every spec here pins `net_model` explicitly. No test in this binary
+//! flips a default a concurrent test's job would snapshot; the mid-run
+//! default-flip test lives in `default_flips.rs`, its own process, because
+//! a default tracer routes every job that starts meanwhile to one engine.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+mod common;
 
+use std::sync::{Mutex, MutexGuard};
+
+use common::{assert_runs_identical, butterfly, butterfly_job, butterfly_spec};
 use netsim::NetModel;
 use simmpi::{run_mpi, CondemnReason, JobSpec, MpiRun, Msg, ReduceOp};
 use soc_arch::Platform;
 
-/// Serialises the tests that read the process-wide condemnation telemetry
-/// or flip the wind-down default, so their counter deltas are their own.
+/// Serialises the tests that can condemn a sharded run, read the
+/// process-wide condemnation telemetry, or flip the wind-down default, so
+/// their counter deltas are their own.
 static CONDEMN_LOCK: Mutex<()> = Mutex::new(());
 
-/// A 16-rank butterfly exchange with per-round compute: each round pairs
-/// rank `r` with `r ^ 2^(round mod 4)`, so at 2 or 4 contiguous shards some
-/// rounds are entirely intra-shard and some entirely cross-shard.
-fn butterfly(shards: Option<u32>) -> MpiRun<u64> {
-    let spec = JobSpec::new(Platform::tegra2(), 16)
-        .with_net_model(Some(NetModel::Event))
-        .with_shards(shards);
-    run_mpi(spec, |mut r| async move {
-        let me = r.rank();
-        let mut acc = me as u64;
-        for round in 0..8u32 {
-            let partner = me ^ (1 << (round % 4));
-            r.compute_secs(2e-5).await;
-            let payload = Msg::from_u64s(&[acc, round as u64]);
-            if me < partner {
-                r.send(partner, round, payload).await;
-                acc += r.recv(partner, round).await.to_u64s()[0];
-            } else {
-                acc += r.recv(partner, round).await.to_u64s()[0];
-                r.send(partner, round, payload).await;
-            }
-        }
-        let sum = r.allreduce(ReduceOp::Sum, vec![acc as f64]).await;
-        acc + sum[0] as u64
-    })
-    .expect("butterfly job failed")
+/// Take [`CONDEMN_LOCK`]. A test that fails while holding it poisons it;
+/// the guard is recovered so that one failure reports once instead of
+/// failing every later holder too.
+fn condemn_lock() -> MutexGuard<'static, ()> {
+    CONDEMN_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// A rendezvous-sized (64 KiB > Open-MX's 32 KiB threshold) ping-pong
@@ -90,18 +70,6 @@ fn rendezvous_pingpong(shards: Option<u32>) -> MpiRun<u64> {
     .expect("rendezvous job failed")
 }
 
-/// Every observable of two runs, compared field by field.
-fn assert_runs_identical<R: std::fmt::Debug + PartialEq>(a: &MpiRun<R>, b: &MpiRun<R>, what: &str) {
-    assert_eq!(a.elapsed, b.elapsed, "{what}: elapsed diverged");
-    assert_eq!(a.results, b.results, "{what}: per-rank results diverged");
-    assert_eq!(a.compute_busy, b.compute_busy, "{what}: compute tallies diverged");
-    assert_eq!(a.comm_busy, b.comm_busy, "{what}: comm tallies diverged");
-    assert_eq!(a.net.messages, b.net.messages, "{what}: message count diverged");
-    assert_eq!(a.net.payload_bytes, b.net.payload_bytes, "{what}: payload bytes diverged");
-    assert_eq!(a.net.retransmits, b.net.retransmits, "{what}: retransmit count diverged");
-    assert_eq!(a.events, b.events, "{what}: dispatched-event count diverged");
-}
-
 #[test]
 fn sharded_eager_runs_are_bit_identical_to_serial() {
     let serial = butterfly(None);
@@ -120,46 +88,6 @@ fn sharded_rendezvous_runs_are_bit_identical_to_serial() {
         let sharded = rendezvous_pingpong(Some(n));
         assert_eq!(sharded.shards, n, "ping-pong must actually run sharded");
         assert_runs_identical(&serial, &sharded, &format!("rendezvous at {n} shards"));
-    }
-}
-
-#[test]
-fn mid_run_default_flips_cannot_perturb_a_sharded_job() {
-    // The shard-safety regression test: a sharded job snapshots every
-    // process-wide default when it starts, so another thread hammering
-    // `set_default_net_model` / `set_default_tracer` while the shards run
-    // (the exact interference concurrent shards could otherwise cause)
-    // must not change a single observable.
-    let baseline = butterfly(Some(2));
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let flipper = {
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let tracer: Arc<dyn des::Tracer> = Arc::new(des::NullTracer);
-            while !stop.load(Ordering::Relaxed) {
-                simmpi::set_default_net_model(NetModel::Flow);
-                simmpi::set_default_tracer(Some(Arc::clone(&tracer)));
-                simmpi::set_default_net_model(NetModel::Event);
-                simmpi::set_default_tracer(None);
-            }
-        })
-    };
-    let mut disturbed = Vec::new();
-    for _ in 0..5 {
-        disturbed.push(butterfly(Some(2)));
-    }
-    stop.store(true, Ordering::Relaxed);
-    flipper.join().expect("flipper thread panicked");
-    simmpi::set_default_net_model(NetModel::Event);
-    simmpi::set_default_tracer(None);
-
-    for run in &disturbed {
-        // `run.shards` may legitimately be 1 here: a flip that lands at the
-        // instant the job starts is part of its snapshot (a default tracer
-        // routes the job serial). What must never vary are the bytes.
-        assert!(run.shards == 1 || run.shards == 2, "unexpected shard count {}", run.shards);
-        assert_runs_identical(&baseline, run, "sharded run under default flips");
     }
 }
 
@@ -202,6 +130,7 @@ fn ineligible_jobs_fall_back_to_the_serial_engine() {
 
 #[test]
 fn inexact_schedules_recover_serially_with_identical_bytes() {
+    let _guard = condemn_lock();
     // A wildcard receive matches on mailbox arrival order, which a windowed
     // run reorders around barriers: the reservation guard condemns the
     // schedule at the next barrier and the job is recovered on one engine —
@@ -244,36 +173,15 @@ fn inexact_schedules_recover_serially_with_identical_bytes() {
 
 #[test]
 fn condemned_runs_recover_from_verified_checkpoints() {
-    let _guard = CONDEMN_LOCK.lock().unwrap();
+    let _guard = condemn_lock();
     // Force a condemnation at window 3 of an otherwise exact sharded
     // schedule: the attempt must abort at that barrier (not wind down),
     // and the serial recovery must re-certify both earlier window
     // checkpoints before producing bytes identical to the serial engine's.
     let serial = butterfly(None);
     let condemn = |shards| {
-        let spec = JobSpec::new(Platform::tegra2(), 16)
-            .with_net_model(Some(NetModel::Event))
-            .with_shards(shards)
-            .with_condemn_at_window(Some(3));
-        run_mpi(spec, |mut r| async move {
-            let me = r.rank();
-            let mut acc = me as u64;
-            for round in 0..8u32 {
-                let partner = me ^ (1 << (round % 4));
-                r.compute_secs(2e-5).await;
-                let payload = Msg::from_u64s(&[acc, round as u64]);
-                if me < partner {
-                    r.send(partner, round, payload).await;
-                    acc += r.recv(partner, round).await.to_u64s()[0];
-                } else {
-                    acc += r.recv(partner, round).await.to_u64s()[0];
-                    r.send(partner, round, payload).await;
-                }
-            }
-            let sum = r.allreduce(ReduceOp::Sum, vec![acc as f64]).await;
-            acc + sum[0] as u64
-        })
-        .expect("condemned butterfly failed")
+        butterfly_job(butterfly_spec(shards).with_condemn_at_window(Some(3)))
+            .expect("condemned butterfly failed")
     };
     let before = simmpi::condemn_telemetry();
     let recovered = condemn(Some(2));
@@ -298,34 +206,13 @@ fn condemned_runs_recover_from_verified_checkpoints() {
 
 #[test]
 fn legacy_winddown_recovers_with_a_full_rerun() {
-    let _guard = CONDEMN_LOCK.lock().unwrap();
+    let _guard = condemn_lock();
     // The ablation path scale_bench measures against: a condemned schedule
     // winds down instead of aborting, records no usable checkpoints, and
     // the job reruns serially from scratch — bytes still identical.
     let serial = butterfly(None);
     simmpi::set_default_condemn_winddown(true);
-    let spec = JobSpec::new(Platform::tegra2(), 16)
-        .with_net_model(Some(NetModel::Event))
-        .with_shards(Some(2))
-        .with_condemn_at_window(Some(3));
-    let legacy = run_mpi(spec, |mut r| async move {
-        let me = r.rank();
-        let mut acc = me as u64;
-        for round in 0..8u32 {
-            let partner = me ^ (1 << (round % 4));
-            r.compute_secs(2e-5).await;
-            let payload = Msg::from_u64s(&[acc, round as u64]);
-            if me < partner {
-                r.send(partner, round, payload).await;
-                acc += r.recv(partner, round).await.to_u64s()[0];
-            } else {
-                acc += r.recv(partner, round).await.to_u64s()[0];
-                r.send(partner, round, payload).await;
-            }
-        }
-        let sum = r.allreduce(ReduceOp::Sum, vec![acc as f64]).await;
-        acc + sum[0] as u64
-    });
+    let legacy = butterfly_job(butterfly_spec(Some(2)).with_condemn_at_window(Some(3)));
     simmpi::set_default_condemn_winddown(false);
     let legacy = legacy.expect("legacy wind-down run failed");
     assert_eq!(legacy.shards, 1);
@@ -338,33 +225,13 @@ fn legacy_winddown_recovers_with_a_full_rerun() {
 
 #[test]
 fn on_disk_checkpoints_certify_a_bit_identical_resume() {
-    let _guard = CONDEMN_LOCK.lock().unwrap();
+    let _guard = condemn_lock();
     let dir = std::env::temp_dir().join(format!("simmpi_ckpt_resume_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create checkpoint dir");
     let job = || {
-        let spec = JobSpec::new(Platform::tegra2(), 16)
-            .with_net_model(Some(NetModel::Event))
-            .with_shards(Some(2))
-            .checkpoint_every(Some(2))
-            .with_ckpt_dir(Some(dir.clone()));
-        run_mpi(spec, |mut r| async move {
-            let me = r.rank();
-            let mut acc = me as u64;
-            for round in 0..8u32 {
-                let partner = me ^ (1 << (round % 4));
-                r.compute_secs(2e-5).await;
-                let payload = Msg::from_u64s(&[acc, round as u64]);
-                if me < partner {
-                    r.send(partner, round, payload).await;
-                    acc += r.recv(partner, round).await.to_u64s()[0];
-                } else {
-                    acc += r.recv(partner, round).await.to_u64s()[0];
-                    r.send(partner, round, payload).await;
-                }
-            }
-            acc
-        })
-        .expect("checkpointed job failed")
+        let spec =
+            butterfly_spec(Some(2)).checkpoint_every(Some(2)).with_ckpt_dir(Some(dir.clone()));
+        butterfly_job(spec).expect("checkpointed job failed")
     };
 
     let before = simmpi::condemn_telemetry();
@@ -394,7 +261,7 @@ fn on_disk_checkpoints_certify_a_bit_identical_resume() {
 
 #[test]
 fn recovery_replay_failures_name_the_verified_checkpoint_count() {
-    let _guard = CONDEMN_LOCK.lock().unwrap();
+    let _guard = condemn_lock();
     // A job that deadlocks *after* its cross-shard phase: the forced trip at
     // window 2 condemns the sharded attempt first, so the deadlock surfaces
     // inside the serial recovery replay — and its parked-process diagnostics

@@ -1,19 +1,23 @@
 //! The tentpole invariant, proved end-to-end: a full golden-scale run of
-//! every artefact on 1 worker and on 8 workers produces byte-identical
-//! rendered text and byte-identical JSON. Plus the timing-cache property
+//! every artefact on 1 worker and on 8 workers of the supervised executor
+//! `repro` ships produces byte-identical rendered text and byte-identical
+//! JSON. Plus the timing-cache property
 //! that makes the parallel sweep cheap: figure cells share model
 //! evaluations, so a two-figure run must hit the cache. And the tracing
 //! invariant: recording a structured trace never changes a single artefact
 //! byte (`ci.sh` additionally proves this at the `repro --trace` binary
 //! level on a quick sweep).
 
+mod common;
+
 use std::sync::Arc;
 
+use common::run_supervised;
 use des::mc::RunOutcome;
 use des::RingRecorder;
 use socready::harness::trace::record_line;
 use socready::harness::{
-    counterexample_json, mc_scenario, run_plan, McOverrides, RunPlan, RunScales, SweepConfig,
+    counterexample_json, mc_scenario, McOverrides, RunPlan, RunScales, SweepConfig,
 };
 
 fn items(keys: &[&str]) -> Vec<String> {
@@ -23,8 +27,8 @@ fn items(keys: &[&str]) -> Vec<String> {
 #[test]
 fn jobs_1_and_jobs_8_are_byte_identical_across_all_artefacts() {
     let mk = || RunPlan::from_items(&items(&["all"]), &RunScales::golden());
-    let (serial, stats1) = run_plan(mk(), &SweepConfig::with_jobs(1));
-    let (parallel, stats8) = run_plan(mk(), &SweepConfig::with_jobs(8));
+    let (serial, stats1) = run_supervised(mk(), &SweepConfig::with_jobs(1));
+    let (parallel, stats8) = run_supervised(mk(), &SweepConfig::with_jobs(8));
 
     assert_eq!(stats1.cells, stats8.cells, "plans enumerated different cell counts");
     assert_eq!(stats8.jobs, 8);
@@ -57,10 +61,10 @@ fn traced_run_produces_byte_identical_artefacts() {
     let mk = || RunPlan::from_items(&items(&["fig7", "table3"]), &RunScales::golden());
     let rec = Arc::new(RingRecorder::with_capacity(1 << 20));
     simmpi::set_default_tracer(Some(rec.clone()));
-    let (traced, _) = run_plan(mk(), &SweepConfig::serial());
+    let (traced, _) = run_supervised(mk(), &SweepConfig::serial());
     simmpi::set_default_tracer(None);
 
-    let (untraced, _) = run_plan(mk(), &SweepConfig::serial());
+    let (untraced, _) = run_supervised(mk(), &SweepConfig::serial());
 
     assert!(!rec.is_empty(), "the traced run must actually have recorded events");
     assert_eq!(untraced.len(), traced.len());
@@ -93,10 +97,10 @@ fn sharded_runs_produce_byte_identical_artefacts() {
     let mut sharded = Vec::new();
     for n in [2u32, 4] {
         simmpi::set_default_shards(Some(n));
-        sharded.push((n, run_plan(mk(), &SweepConfig::serial()).0));
+        sharded.push((n, run_supervised(mk(), &SweepConfig::serial()).0));
     }
     simmpi::set_default_shards(None);
-    let (serial, _) = run_plan(mk(), &SweepConfig::serial());
+    let (serial, _) = run_supervised(mk(), &SweepConfig::serial());
 
     for (n, arts) in &sharded {
         assert_eq!(serial.len(), arts.len());
@@ -159,7 +163,7 @@ fn two_figure_run_reuses_timing_cache() {
     // kernels (threads differ, but the shared Tegra2@1GHz baseline and the
     // serial Tegra2 series coincide), so the second figure must score hits.
     let plan = RunPlan::from_items(&items(&["fig3", "fig4"]), &RunScales::golden());
-    let (_, stats) = run_plan(plan, &SweepConfig::with_jobs(2));
+    let (_, stats) = run_supervised(plan, &SweepConfig::with_jobs(2));
     assert!(
         stats.timing_cache.hits > 0,
         "expected timing-cache hits on a fig3+fig4 run, got {:?}",
@@ -174,12 +178,14 @@ fn flow_model_ablation_is_byte_identical_across_schedules() {
     // model it replaces: the model-equivalence ablation (every golden
     // figure executed under BOTH network models) rendered on 1 worker and
     // on 8 workers is byte-identical, text and JSON. This exercises the
-    // whole flow fast path — max-min re-shares, the batched alltoall
-    // receiver, and flow start/finish event ordering — under a parallel
-    // sweep schedule.
+    // flow model's point-to-point paths — eager flows, rendezvous bulk
+    // flows, and max-min re-shares — under a parallel sweep schedule. No
+    // ablated figure calls `alltoall`, so the batched alltoall path is
+    // covered by `simmpi`'s tests instead (`traced_alltoall.rs` and the
+    // collectives unit tests).
     let mk = || RunPlan::from_items(&items(&["ablate-net"]), &RunScales::golden());
-    let (serial, _) = run_plan(mk(), &SweepConfig::with_jobs(1));
-    let (parallel, stats8) = run_plan(mk(), &SweepConfig::with_jobs(8));
+    let (serial, _) = run_supervised(mk(), &SweepConfig::with_jobs(1));
+    let (parallel, stats8) = run_supervised(mk(), &SweepConfig::with_jobs(8));
 
     assert_eq!(stats8.jobs, 8);
     assert_eq!(serial.len(), parallel.len());

@@ -21,8 +21,10 @@
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
+mod common;
+
 use serde_json::Value;
-use socready::harness::{run_plan, ArtefactOut, RunPlan, RunScales, SweepConfig};
+use socready::harness::{ArtefactOut, RunPlan, RunScales, SweepConfig};
 
 /// Relative tolerance for float leaves.
 const REL_TOL: f64 = 1e-9;
@@ -31,14 +33,15 @@ fn goldens_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/goldens")
 }
 
-/// One golden-scale run of every artefact, shared by all test cases in this
-/// binary. Uses several workers: the determinism suite separately proves
-/// worker count cannot change bytes.
+/// One golden-scale run of every artefact on the supervised executor
+/// `repro` ships, shared by all test cases in this binary. Uses several
+/// workers: the determinism suite separately proves worker count cannot
+/// change bytes.
 fn artefacts() -> &'static [ArtefactOut] {
     static RUN: OnceLock<Vec<ArtefactOut>> = OnceLock::new();
     RUN.get_or_init(|| {
         let plan = RunPlan::from_items(&["all".to_string()], &RunScales::golden());
-        run_plan(plan, &SweepConfig::with_jobs(4)).0
+        common::run_supervised(plan, &SweepConfig::with_jobs(4)).0
     })
 }
 
