@@ -15,7 +15,6 @@
 //! repro --ablate-net     # interconnect figures under both network models
 //! repro --json DIR       # additionally dump machine-readable JSON
 //! repro --jobs N         # run the scenario cells on N workers
-//! repro --shards N       # shard each simulation across N DES engines
 //! repro --serial         # reference serial schedule (same bytes as --jobs N)
 //! repro --resume         # skip artefacts whose journal+checksum verify
 //! repro --fsck           # verify/repair artefacts against the journal
@@ -72,17 +71,6 @@ struct Opts {
     scale_name: String,
     /// Process-wide network model override (`--net-model`).
     net_model: Option<simmpi::NetModel>,
-    /// DES engine shards per simulation (`--shards`). Deliberately outside
-    /// the resume fingerprint: sharded runs are bit-identical to serial
-    /// ones, so their artefacts verify interchangeably.
-    shards: Option<u32>,
-    /// Window period of mid-job disk checkpoints (`--ckpt-every`). Outside
-    /// the resume fingerprint for the same reason as `shards`: checkpoints
-    /// steer persistence, never bytes.
-    ckpt_every: Option<u64>,
-    /// Resolved checkpoint directory (`--ckpt-dir`, defaulting to the
-    /// `--json` directory's `_ckpt/`).
-    ckpt_dir: Option<PathBuf>,
     json_dir: Option<PathBuf>,
     sweep: SweepConfig,
     sup: SupervisorConfig,
@@ -156,18 +144,6 @@ execution:
                          (per-message store-and-forward, the default) |
                          flow (max-min fair-sharing flow-level throughput)
   --jobs N               run scenario cells on N workers
-  --shards N             shard each simulation across N DES engine threads
-                         (conservative time windows; results bit-identical
-                         to one engine — ineligible jobs, and schedules the
-                         exactness guard cannot prove serial-identical,
-                         recover on one engine from the last verified
-                         window checkpoint)
-  --ckpt-every N         persist a verified window checkpoint of each
-                         eligible sharded simulation every N windows; a
-                         killed run re-invoked with the same flags resumes
-                         and certifies mid-job (see docs/CKPT_FORMAT.md)
-  --ckpt-dir DIR         where checkpoint files live (default: the --json
-                         directory's _ckpt/)
   --serial               reference serial schedule (same bytes as --jobs N)
   --retries N            extra attempts for failing cells (default 1)
   --max-cell-seconds S   wall-clock watchdog per cell attempt
@@ -228,9 +204,6 @@ fn parse_args() -> Opts {
     let mut mc_replay = None;
     let mut mc_overrides = McOverrides::default();
     let mut net_model: Option<simmpi::NetModel> = None;
-    let mut shards: Option<u32> = None;
-    let mut ckpt_every: Option<u64> = None;
-    let mut ckpt_dir: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     let value = |args: &mut dyn Iterator<Item = String>, flag: &str| -> String {
         args.next().unwrap_or_else(|| die(&format!("{flag} needs a value")))
@@ -256,25 +229,6 @@ fn parse_args() -> Opts {
                 let v = value(&mut args, "--jobs");
                 jobs = Some(v.parse().unwrap_or_else(|_| die(&format!("bad --jobs value '{v}'"))));
             }
-            "--shards" => {
-                let v = value(&mut args, "--shards");
-                let n: u32 = v
-                    .parse()
-                    .ok()
-                    .filter(|n| *n > 0)
-                    .unwrap_or_else(|| die(&format!("bad --shards value '{v}'")));
-                shards = Some(n);
-            }
-            "--ckpt-every" => {
-                let v = value(&mut args, "--ckpt-every");
-                let n: u64 = v
-                    .parse()
-                    .ok()
-                    .filter(|n| *n > 0)
-                    .unwrap_or_else(|| die(&format!("bad --ckpt-every value '{v}'")));
-                ckpt_every = Some(n);
-            }
-            "--ckpt-dir" => ckpt_dir = Some(PathBuf::from(value(&mut args, "--ckpt-dir"))),
             "--serial" => serial = true,
             "--resume" => resume = true,
             "--fsck" => fsck = true,
@@ -372,18 +326,6 @@ fn parse_args() -> Opts {
     if fsck && resume {
         die("--fsck and --resume are mutually exclusive");
     }
-    if ckpt_every.is_some() && shards.is_none_or(|n| n < 2) {
-        die("--ckpt-every needs --shards N>1 (window checkpoints exist only on sharded runs)");
-    }
-    // Resolve the checkpoint home now so the journal can record it: an
-    // explicit --ckpt-dir, else the --json directory's _ckpt/ (underscore-
-    // prefixed, so artefact diffs exclude it like the journal).
-    if ckpt_every.is_some() && ckpt_dir.is_none() {
-        match &json_dir {
-            Some(dir) => ckpt_dir = Some(dir.join("_ckpt")),
-            None => die("--ckpt-every needs --ckpt-dir DIR or --json DIR (default DIR/_ckpt)"),
-        }
-    }
     let (scales, base_scale) = if golden {
         (RunScales::golden(), "golden")
     } else if quick {
@@ -417,9 +359,6 @@ fn parse_args() -> Opts {
         scales,
         scale_name,
         net_model,
-        shards,
-        ckpt_every,
-        ckpt_dir,
         json_dir,
         sweep,
         sup,
@@ -588,11 +527,6 @@ fn run_supervised(opts: &Opts) -> i32 {
             }
         };
     }
-    if let Some(dir) = &opts.ckpt_dir {
-        let dir = dir.display().to_string();
-        journal_try!(|j: &mut Journal| j.ckpt(&dir, opts.ckpt_every.unwrap_or(0)));
-    }
-
     let (_, stats) = run_plan_supervised(plan, &opts.sweep, &opts.sup, &skip, |art| {
         for r in &art.cells {
             let (status, failure) = match &r.outcome {
@@ -883,24 +817,6 @@ fn main() {
     if let Some(model) = opts.net_model {
         simmpi::set_default_net_model(model);
         eprintln!("network model: {}", model.name());
-    }
-    if let Some(n) = opts.shards {
-        simmpi::set_default_shards(Some(n));
-        eprintln!("engine shards per simulation: {n} (eligible jobs only)");
-    }
-    if let Some(dir) = &opts.ckpt_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            die(&format!("cannot create checkpoint dir {}: {e}", dir.display()));
-        }
-        simmpi::set_default_ckpt_dir(Some(dir.clone()));
-        simmpi::set_default_ckpt_every(opts.ckpt_every);
-        match opts.ckpt_every {
-            Some(n) => eprintln!(
-                "window checkpoints: every {n} window(s) into {} (kill-resumable)",
-                dir.display()
-            ),
-            None => eprintln!("window checkpoints: resuming from {} only", dir.display()),
-        }
     }
     let tracer = install_tracer(&opts);
     let mut code = if let Some(name) = opts.mc.clone() {

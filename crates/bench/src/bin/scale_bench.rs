@@ -4,10 +4,7 @@
 //! the peak-ranks datum, the overhead of an installed
 //! [`NullTracer`] over the zero-tracer path, a dense alltoall under the
 //! per-message event model vs the fair-sharing flow model (`net_flow` —
-//! `ci.sh` gates the flow model's wall speedup at >= 5x), the
-//! condemnation-recovery ablation (`condemn_recovery` — `ci.sh` gates that
-//! checkpoint rollback beats the legacy wind-down + full rerun on wall
-//! clock, bytes identical to serial throughout), the model checker's
+//! `ci.sh` gates the flow model's wall speedup at >= 5x), the model checker's
 //! exploration rate in distinct states/sec on the `retry-lossy` scenario,
 //! and the datacenter scheduler's replay rate in jobs/sec at 10⁵ and 10⁶
 //! jobs (`sched_throughput`, best of 3 — informational)).
@@ -108,76 +105,6 @@ struct NetFlowBench {
     event_ratio: f64,
 }
 
-/// One shard count's measurement on the sharded-engine butterfly workload.
-#[derive(Serialize)]
-struct ShardRun {
-    /// DES engine shards the job ran across (1 = the serial engine).
-    shards: u32,
-    /// Wall seconds.
-    wall_secs: f64,
-    /// Engine events dispatched (summed over shards; must not vary).
-    events: u64,
-    /// Engine events dispatched per wall second.
-    events_per_sec: f64,
-}
-
-/// Sharded-engine scaling: one 4096-rank butterfly exchange (every round
-/// pairs rank `r` with `r ^ 2^(round mod 12)`, with per-round compute) run
-/// on 1, 2, and 4 engine shards. The per-rank results must be identical at
-/// every shard count — conservative windowed sync is bit-exact — so the
-/// only thing allowed to change is the wall clock. `ci.sh` gates
-/// `shard_speedup >= 1.5` (the 2-shard wall ratio).
-#[derive(Serialize)]
-struct ShardScaling {
-    /// Ranks in the butterfly (one per star node).
-    ranks: u32,
-    /// Exchange rounds performed.
-    rounds: u32,
-    /// CPUs visible to this process: shard workers are real OS threads, so
-    /// speedup needs real cores. `ci.sh` gates the speedup only when this
-    /// is >= 2; on a single-CPU box it gates the overhead bound instead.
-    host_cpus: u32,
-    /// The runs, in shard order 1, 2, 4.
-    runs: Vec<ShardRun>,
-    /// `wall(1 shard) / wall(2 shards)` — ci.sh gates this >= 1.5 on
-    /// multi-core hosts (>= 0.5, i.e. bounded overhead, on one CPU).
-    shard_speedup: f64,
-    /// `wall(1 shard) / wall(4 shards)` — informational.
-    shard_speedup_4: f64,
-}
-
-/// The condemnation-recovery ablation: the same deliberately-condemned
-/// sharded job under the legacy discard path (wind the dead schedule down,
-/// rerun everything serially) and under checkpoint rollback (abort at the
-/// condemnation barrier, replay serially while re-certifying the recorded
-/// window checkpoints). Both paths must produce bytes identical to the
-/// serial reference; rollback must cost strictly less wall-clock — `ci.sh`
-/// gates `identical` and `rollback_wall_secs < legacy_wall_secs`.
-#[derive(Serialize)]
-struct CondemnRecovery {
-    /// Ranks in the two-phase workload (half per shard).
-    ranks: u32,
-    /// Heavy intra-shard phase-2 rounds the wind-down still simulates.
-    rounds: u32,
-    /// Window at which the guard trip is forced (`condemn_at_window`).
-    condemned_window: u64,
-    /// Verified window checkpoints the condemned attempt recorded.
-    windows_recorded: u64,
-    /// Recovery-replay barriers re-certified against those checkpoints.
-    windows_verified: u64,
-    /// Wall seconds of the uncondemned serial reference run.
-    serial_wall_secs: f64,
-    /// Wall seconds of condemned attempt + checkpoint-verified recovery.
-    rollback_wall_secs: f64,
-    /// Wall seconds of condemned attempt + wind-down + full serial rerun.
-    legacy_wall_secs: f64,
-    /// `legacy_wall_secs / rollback_wall_secs` — what rollback saves.
-    rollback_saving: f64,
-    /// Whether all three runs produced identical results, events, and
-    /// virtual elapsed time.
-    identical: bool,
-}
-
 /// One stream length's measurement on the datacenter-replay workload.
 #[derive(Serialize)]
 struct SchedRun {
@@ -272,13 +199,6 @@ struct ScaleBench {
     /// Dense-collective workload under both network models (flow-model
     /// speedup must stay >= 5x).
     net_flow: NetFlowBench,
-    /// One big job on 1/2/4 engine shards (2-shard speedup must stay
-    /// >= 1.5x, results bit-identical throughout).
-    shard_scaling: ShardScaling,
-    /// Checkpoint rollback vs legacy wind-down + full rerun on the same
-    /// deliberately-condemned job (rollback must be cheaper, both paths
-    /// bit-identical to the serial reference).
-    condemn_recovery: CondemnRecovery,
     /// Model-checker exploration rate on the lossy-ring scenario.
     mc_throughput: McThroughput,
     /// Datacenter-scheduler replay rate at 10⁵ and 10⁶ jobs.
@@ -430,185 +350,6 @@ fn net_flow_bench(ranks: u32, rounds: u32, bytes: u64) -> NetFlowBench {
     NetFlowBench { ranks, rounds, bytes_per_pair: bytes, event, flow, flow_speedup, event_ratio }
 }
 
-/// The shard-scaling workload at one shard count: a `ranks`-rank butterfly
-/// exchange with per-round compute. Returns the measurement and the
-/// per-rank results (the caller cross-checks them across shard counts).
-fn shard_butterfly(ranks: u32, rounds: u32, shards: u32) -> (ShardRun, Vec<u64>) {
-    assert!(ranks.is_power_of_two(), "butterfly needs a power-of-two rank count");
-    let bits = ranks.trailing_zeros();
-    let spec = JobSpec::new(Platform::tegra2(), ranks)
-        .with_net_model(Some(NetModel::Event))
-        .with_shards(Some(shards));
-    let t0 = Instant::now();
-    let run = run_mpi(spec, move |mut r| async move {
-        let me = r.rank();
-        let mut acc = me as u64;
-        for round in 0..rounds {
-            let partner = me ^ (1 << (round % bits));
-            r.compute_secs(1e-5).await;
-            let payload = Msg::from_u64s(&[acc]);
-            if me < partner {
-                r.send(partner, round, payload).await;
-                acc = acc.wrapping_add(r.recv(partner, round).await.to_u64s()[0]);
-            } else {
-                acc = acc.wrapping_add(r.recv(partner, round).await.to_u64s()[0]);
-                r.send(partner, round, payload).await;
-            }
-        }
-        acc
-    })
-    .expect("shard butterfly failed");
-    let wall = t0.elapsed().as_secs_f64();
-    // The speedup datum is meaningless if the job silently fell back to one
-    // engine (ineligibility, or the reservation guard condemning the
-    // schedule) — insist it really ran on the requested shard count.
-    assert_eq!(run.shards, shards, "shard butterfly did not run on {shards} engines");
-    let shard_run = ShardRun {
-        shards,
-        wall_secs: wall,
-        events: run.events,
-        events_per_sec: run.events as f64 / wall,
-    };
-    (shard_run, run.results)
-}
-
-/// The butterfly at 1, 2, and 4 shards, cross-checking bit-identity of the
-/// per-rank results and the dispatched-event count at every shard count.
-fn shard_scaling(ranks: u32, rounds: u32) -> ShardScaling {
-    let mut runs = Vec::new();
-    let mut reference: Option<(Vec<u64>, u64)> = None;
-    for shards in [1u32, 2, 4] {
-        let (run, results) = shard_butterfly(ranks, rounds, shards);
-        eprintln!(
-            "  {shards} shard(s): {} events in {:.2}s ({:.0} events/s)",
-            run.events, run.wall_secs, run.events_per_sec
-        );
-        match &reference {
-            None => reference = Some((results, run.events)),
-            Some((want, events)) => {
-                assert_eq!(&results, want, "per-rank results diverged at {shards} shards");
-                assert_eq!(run.events, *events, "event count diverged at {shards} shards");
-            }
-        }
-        runs.push(run);
-    }
-    let shard_speedup = runs[0].wall_secs / runs[1].wall_secs;
-    let shard_speedup_4 = runs[0].wall_secs / runs[2].wall_secs;
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get() as u32);
-    ShardScaling { ranks, rounds, host_cpus, runs, shard_speedup, shard_speedup_4 }
-}
-
-/// The condemnation-recovery workload: a short cross-shard exchange
-/// (phase 1, the windowed prefix the checkpoints certify) followed by
-/// `rounds` of heavy intra-shard neighbour ping-pong (phase 2 — the work
-/// the legacy wind-down keeps simulating after condemnation and the
-/// rollback abort skips). Returns wall seconds and the run.
-fn condemn_workload(
-    ranks: u32,
-    rounds: u32,
-    shards: Option<u32>,
-    condemn_at: Option<u64>,
-) -> (f64, simmpi::MpiRun<u64>) {
-    assert!(ranks.is_multiple_of(4), "condemn workload pairs ranks within each of two halves");
-    let spec = JobSpec::new(Platform::tegra2(), ranks)
-        .with_net_model(Some(NetModel::Event))
-        .with_shards(shards)
-        .with_condemn_at_window(condemn_at);
-    let t0 = Instant::now();
-    let run = run_mpi(spec, move |mut r| async move {
-        let me = r.rank();
-        let half = r.size() / 2;
-        // Phase 1: one exchange with the mirror rank in the other half —
-        // cross-shard under the contiguous 2-shard partition, so the first
-        // few windows carry real cross-engine traffic for the checkpoints
-        // to certify.
-        let mirror = (me + half) % r.size();
-        let hello = Msg::from_u64s(&[me as u64]);
-        let mut acc;
-        if me < half {
-            r.send(mirror, 0, hello).await;
-            acc = r.recv(mirror, 0).await.to_u64s()[0];
-        } else {
-            acc = r.recv(mirror, 0).await.to_u64s()[0];
-            r.send(mirror, 0, hello).await;
-        }
-        // Phase 2: neighbour ping-pong with per-round compute, entirely
-        // within the rank's own half (and therefore its own shard).
-        let buddy = me ^ 1;
-        for round in 1..=rounds {
-            r.compute_secs(2e-6).await;
-            let payload = Msg::from_u64s(&[acc, round as u64]);
-            if me < buddy {
-                r.send(buddy, round, payload).await;
-                acc = acc.wrapping_add(r.recv(buddy, round).await.to_u64s()[0]);
-            } else {
-                acc = acc.wrapping_add(r.recv(buddy, round).await.to_u64s()[0]);
-                r.send(buddy, round, payload).await;
-            }
-        }
-        acc
-    })
-    .expect("condemn workload failed");
-    (t0.elapsed().as_secs_f64(), run)
-}
-
-/// The condemnation-recovery ablation: serial reference, then the same
-/// 2-shard job deliberately condemned at `CONDEMN_AT` under checkpoint
-/// rollback (the default) and under the legacy wind-down + full-rerun
-/// path. Best-of-2 alternating walls on the two condemned variants, since
-/// the gated quantity is a wall comparison.
-fn condemn_recovery(ranks: u32, rounds: u32) -> CondemnRecovery {
-    const CONDEMN_AT: u64 = 6;
-    let (serial_wall, serial) = condemn_workload(ranks, rounds, None, None);
-    assert!(serial.recovery.is_none(), "serial reference must not be condemned");
-    let mut rollback_wall = f64::INFINITY;
-    let mut legacy_wall = f64::INFINITY;
-    let mut rollback = None;
-    let mut legacy = None;
-    for _ in 0..2 {
-        let (wall, run) = condemn_workload(ranks, rounds, Some(2), Some(CONDEMN_AT));
-        rollback_wall = rollback_wall.min(wall);
-        rollback = Some(run);
-        simmpi::set_default_condemn_winddown(true);
-        let (wall, run) = condemn_workload(ranks, rounds, Some(2), Some(CONDEMN_AT));
-        simmpi::set_default_condemn_winddown(false);
-        legacy_wall = legacy_wall.min(wall);
-        legacy = Some(run);
-    }
-    let (rollback, legacy) = (rollback.unwrap(), legacy.unwrap());
-    for (name, run) in [("rollback", &rollback), ("legacy", &legacy)] {
-        assert_eq!(run.shards, 1, "{name} run must have recovered on one engine");
-    }
-    let rb = rollback.recovery.as_ref().expect("rollback run must report recovery stats");
-    assert_eq!(rb.reason, simmpi::CondemnReason::Forced, "condemnation was forced by the spec");
-    assert_eq!(rb.condemned_window, CONDEMN_AT, "trip must land on the requested barrier");
-    assert!(rb.windows_recorded > 0, "condemned attempt must have recorded checkpoints");
-    assert_eq!(
-        rb.windows_verified, rb.windows_recorded,
-        "recovery replay must re-certify every recorded checkpoint"
-    );
-    let lg = legacy.recovery.as_ref().expect("legacy run must report recovery stats");
-    assert_eq!(lg.windows_recorded, 0, "legacy wind-down discards its checkpoints");
-    let identical = rollback.results == serial.results
-        && legacy.results == serial.results
-        && rollback.events == serial.events
-        && legacy.events == serial.events
-        && rollback.elapsed == serial.elapsed
-        && legacy.elapsed == serial.elapsed;
-    CondemnRecovery {
-        ranks,
-        rounds,
-        condemned_window: CONDEMN_AT,
-        windows_recorded: rb.windows_recorded,
-        windows_verified: rb.windows_verified,
-        serial_wall_secs: serial_wall,
-        rollback_wall_secs: rollback_wall,
-        legacy_wall_secs: legacy_wall,
-        rollback_saving: legacy_wall / rollback_wall,
-        identical,
-    }
-}
-
 /// 4096-rank simmpi ping-ring: the peak-ranks datum, one engine thread.
 fn peak_ring(ranks: u32) -> (f64, u64) {
     let spec = JobSpec::new(Platform::tegra2(), ranks);
@@ -669,29 +410,6 @@ fn main() {
         net_flow.event_ratio
     );
 
-    let (sh_ranks, sh_rounds) = (4096, 12);
-    eprintln!("shards: {sh_ranks}-rank x {sh_rounds}-round butterfly on 1/2/4 engine shards ...");
-    let sharding = shard_scaling(sh_ranks, sh_rounds);
-    eprintln!(
-        "  2 shards: {:.2}x, 4 shards: {:.2}x (bit-identical results)",
-        sharding.shard_speedup, sharding.shard_speedup_4
-    );
-
-    let (cr_ranks, cr_rounds) = (64, 400);
-    eprintln!(
-        "condemn: {cr_ranks}-rank x {cr_rounds}-round job condemned mid-run, \
-         rollback vs legacy rerun (best of 2, alternating) ..."
-    );
-    let condemned = condemn_recovery(cr_ranks, cr_rounds);
-    eprintln!(
-        "  serial {:.3}s; rollback {:.3}s ({} ckpts verified); legacy {:.3}s -> {:.2}x saving",
-        condemned.serial_wall_secs,
-        condemned.rollback_wall_secs,
-        condemned.windows_verified,
-        condemned.legacy_wall_secs,
-        condemned.rollback_saving
-    );
-
     eprintln!("mc: bounded search over retry-lossy at default budgets ...");
     let mc = mc_throughput();
     eprintln!(
@@ -721,8 +439,6 @@ fn main() {
         peak_messages,
         trace_overhead: overhead,
         net_flow,
-        shard_scaling: sharding,
-        condemn_recovery: condemned,
         mc_throughput: mc,
         sched_throughput,
     };

@@ -11,10 +11,10 @@
 //! * `artifact` — one per finished artefact: key, JSON file stem (absent
 //!   for text-only artefacts), byte count and FNV-1a 64 checksum of the
 //!   written JSON, or `"status":"failed"` for quarantined artefacts;
-//! * `ckpt` — the run's simulation-checkpoint configuration (`--ckpt-every`
-//!   / `--ckpt-dir`), so a `--resume` invocation re-arms the same mid-job
-//!   checkpoint files (documented in `docs/CKPT_FORMAT.md`);
 //! * `run_end` — `clean` or `degraded`.
+//!
+//! The reader skips records of any other kind, so journals that older
+//! versions wrote with records since retired (such as `ckpt`) still load.
 //!
 //! The reader is *prefix-tolerant*: a journal killed mid-write (SIGKILL,
 //! power loss) ends in a torn line, and [`read_journal`] parses every
@@ -200,13 +200,6 @@ impl Journal {
         ))
     }
 
-    /// Record the run's simulation-checkpoint configuration (`--ckpt-every`
-    /// / `--ckpt-dir`): where mid-job window checkpoints live and how often
-    /// they are written, so a resumed invocation re-arms the same files.
-    pub fn ckpt(&mut self, dir: &str, every: u64) -> Result<(), ArtifactIoError> {
-        self.append(&format!("{{\"kind\":\"ckpt\",\"dir\":{},\"every\":{every}}}", esc(dir)))
-    }
-
     /// Record the end of the run.
     pub fn run_end(&mut self, clean: bool) -> Result<(), ArtifactIoError> {
         let status = if clean { "clean" } else { "degraded" };
@@ -264,10 +257,6 @@ pub struct ResumeState {
     pub artifacts: Vec<JournaledArtifact>,
     /// Cell records, in execution order.
     pub cells: Vec<JournaledCell>,
-    /// Simulation-checkpoint directory from the `ckpt` record, if any.
-    pub ckpt_dir: Option<String>,
-    /// Window period of the journaled run's disk checkpoints (0 = none).
-    pub ckpt_every: u64,
     /// Whether a `run_end` record was seen.
     pub complete: bool,
 }
@@ -365,10 +354,6 @@ pub fn parse_journal(content: &str) -> ResumeState {
                     st.artifacts.push(rec);
                 }
             }
-            "ckpt" => {
-                st.ckpt_dir = get_str(&v, "dir");
-                st.ckpt_every = get_u64(&v, "every").unwrap_or(0);
-            }
             "run_end" => st.complete = true,
             _ => {} // unknown record kind: skip, keep reading
         }
@@ -403,7 +388,6 @@ mod tests {
         let d = tmpdir("roundtrip");
         let items = strings(&["fig5", "hpl"]);
         let mut j = Journal::create(&d, &items, "golden").unwrap();
-        j.ckpt("/tmp/out/_ckpt", 8).unwrap();
         j.cell("fig5", "fig5/tegra2", "ok", 1, 1.5, None).unwrap();
         j.cell("fig5", "fig5/tegra3", "recovered", 3, 4.0, None).unwrap();
         j.artifact_json("fig5", "fig5", 123, "00deadbeef001122", false).unwrap();
@@ -423,8 +407,6 @@ mod tests {
         assert_eq!(fig5.stem.as_deref(), Some("fig5"));
         assert_eq!(fig5.checksum.as_deref(), Some("00deadbeef001122"));
         assert!(!st.artifact("hpl").unwrap().ok);
-        assert_eq!(st.ckpt_dir.as_deref(), Some("/tmp/out/_ckpt"));
-        assert_eq!(st.ckpt_every, 8);
         let _ = std::fs::remove_dir_all(&d);
     }
 
@@ -445,6 +427,36 @@ mod tests {
         assert_eq!(st.fingerprint, run_fingerprint(&items, "quick"));
         assert_eq!(st.artifacts.len(), 1);
         assert!(!st.complete);
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    #[test]
+    fn journals_with_retired_ckpt_records_still_resume() {
+        // Older versions journaled their simulation-checkpoint settings as a
+        // `ckpt` record right after `run_start`. Such a journal must still
+        // load, and its artefacts must still verify for `--resume`.
+        let d = tmpdir("retired_ckpt");
+        let items = strings(&["fig5"]);
+        drop(Journal::create(&d, &items, "golden").unwrap());
+        let p = d.join(JOURNAL_FILE);
+        let mut content = std::fs::read_to_string(&p).unwrap();
+        content.push_str("{\"kind\":\"ckpt\",\"dir\":\"/tmp/out/_ckpt\",\"every\":8}\n");
+        std::fs::write(&p, &content).unwrap();
+        let body = "{\"rows\": []}";
+        let (_, checksum) = crate::write_json_atomic(&d, "fig5", body).unwrap();
+        let mut j = Journal::open_append(&d).unwrap();
+        j.cell("fig5", "fig5/tegra2", "ok", 1, 1.5, None).unwrap();
+        j.artifact_json("fig5", "fig5", body.len() as u64, &checksum, false).unwrap();
+        j.run_end(true).unwrap();
+
+        let st = read_journal(&d);
+        assert_eq!(st.fingerprint, run_fingerprint(&items, "golden"));
+        assert!(st.complete);
+        assert_eq!(st.cells.len(), 1);
+        let fig5 = st.artifact("fig5").expect("artefact record after the ckpt record");
+        assert!(fig5.ok);
+        assert_eq!(fig5.checksum.as_deref(), Some(checksum.as_str()));
+        assert_eq!(crate::artifact::checksum_on_disk(&d, "fig5"), Some(checksum));
         let _ = std::fs::remove_dir_all(&d);
     }
 

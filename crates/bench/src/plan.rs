@@ -710,7 +710,6 @@ pub fn run_plan_supervised(
     let jobs = cfg.jobs.max(1);
     let started = Instant::now();
     let cache_before = cache_counters();
-    let condemn_before = simmpi::condemn_telemetry();
     let mut results = Vec::with_capacity(plan.artefacts.len());
     let mut cell_timings = Vec::new();
     let mut sup_stats = SupervisorStats::default();
@@ -754,7 +753,7 @@ pub fn run_plan_supervised(
         timing_cache: cache_before.delta_to(&cache_counters()),
         cell_timings,
         supervisor: sup_stats,
-        ckpt: simmpi::condemn_telemetry().since(&condemn_before).into(),
+        ckpt: crate::CkptStats::default(),
     };
     (results, stats)
 }

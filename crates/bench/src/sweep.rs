@@ -75,48 +75,20 @@ pub struct CellTiming {
     pub wall_ms: f64,
 }
 
-/// Condemnation/rollback outcomes accumulated over one sweep (the
-/// `simmpi::condemn_telemetry` counter movement). Reporting only — wall
-/// clocks are host time and must never enter byte-compared artefacts.
+/// No effect; kept only because `perfbench/harness` calls it; the next
+/// benchmark PR deletes the call and this item. Every field is always zero.
 #[derive(Clone, Copy, Debug, Default, Serialize)]
 pub struct CkptStats {
-    /// Sharded runs condemned by the exactness guard during the sweep.
+    /// Always zero.
     pub condemned_runs: u64,
-    /// Engine events the condemned attempts had dispatched when stopped.
-    pub condemned_events: u64,
-    /// Wall-clock seconds spent in condemned sharded attempts.
+    /// Always zero.
     pub condemned_wall_s: f64,
-    /// Window checkpoints the condemned attempts had recorded.
+    /// Always zero.
     pub windows_recorded: u64,
-    /// Recovery-replay barriers re-certified against those checkpoints.
+    /// Always zero.
     pub windows_verified: u64,
-    /// Wall-clock seconds spent in checkpoint-verified serial recoveries.
+    /// Always zero.
     pub recovery_wall_s: f64,
-    /// Lower bound on what the legacy discard-and-rerun path would have
-    /// cost: the condemned attempts' wall (fully wasted there, and a lower
-    /// bound because legacy also winds the dead schedule down) plus the
-    /// serial rerun (same dispatch work as the recovery replay).
-    pub estimated_rerun_wall_s: f64,
-    /// Runs whose on-disk checkpoint certified a bit-identical resume.
-    pub resumed_verified: u64,
-    /// On-disk checkpoints written (fsync'd temp-and-rename commits).
-    pub ckpts_written: u64,
-}
-
-impl From<simmpi::CondemnTelemetry> for CkptStats {
-    fn from(t: simmpi::CondemnTelemetry) -> CkptStats {
-        CkptStats {
-            condemned_runs: t.condemned_runs,
-            condemned_events: t.condemned_events,
-            condemned_wall_s: t.condemned_wall_s,
-            windows_recorded: t.windows_recorded,
-            windows_verified: t.windows_verified,
-            recovery_wall_s: t.recovery_wall_s,
-            estimated_rerun_wall_s: t.condemned_wall_s + t.recovery_wall_s,
-            resumed_verified: t.resumed_verified,
-            ckpts_written: t.ckpts_written,
-        }
-    }
 }
 
 /// Execution report of one sweep: worker count, wall clock, per-cell
@@ -136,7 +108,8 @@ pub struct SweepStats {
     /// Supervisor outcomes (quarantines, retries, resume skips, watchdog
     /// margins).
     pub supervisor: SupervisorStats,
-    /// Condemnation/rollback outcomes of the sweep's sharded runs.
+    /// No effect; kept only because `perfbench/harness` reads it; the next
+    /// benchmark PR deletes the read and this item.
     pub ckpt: CkptStats,
 }
 

@@ -24,9 +24,6 @@ fn help_exits_zero_and_matches_the_snapshot() {
         "--quick",
         "--golden",
         "--jobs N",
-        "--shards N",
-        "--ckpt-every N",
-        "--ckpt-dir DIR",
         "--serial",
         "--retries N",
         "--max-cell-seconds S",
@@ -58,9 +55,6 @@ fn help_exits_zero_and_matches_the_snapshot() {
         "spare-race",
         "max-min fair-sharing flow-level throughput",
         "per-figure accuracy-delta table",
-        "shard each simulation across N DES engine threads",
-        "last verified",
-        "docs/CKPT_FORMAT.md",
         "datacenter (multi-tenant job-stream replay",
     ] {
         assert!(text.contains(phrase), "--help lost phrase '{phrase}':\n{text}");
@@ -75,6 +69,10 @@ fn unknown_arguments_exit_two() {
         &["--figure", "99"],
         &["--trace-filter", "nonsense"],
         &["--net-model", "warp"],
+        // Removed flags are rejected, not silently ignored.
+        &["--shards", "2"],
+        &["--ckpt-every", "4"],
+        &["--ckpt-dir", "x"],
     ] {
         let out = repro(args);
         assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");
@@ -87,32 +85,6 @@ fn contradictory_flags_exit_two() {
     assert_eq!(repro(&["--serial", "--jobs", "4"]).status.code(), Some(2));
     assert_eq!(repro(&["--resume"]).status.code(), Some(2), "--resume needs --json");
     assert_eq!(repro(&["--fsck"]).status.code(), Some(2), "--fsck needs --json");
-}
-
-#[test]
-fn bad_shard_counts_exit_two() {
-    for args in [&["--shards", "0"][..], &["--shards", "nope"], &["--shards"]] {
-        let out = repro(args);
-        assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");
-        assert!(!out.stderr.is_empty(), "{args:?} must explain itself on stderr");
-    }
-}
-
-#[test]
-fn bad_checkpoint_flags_exit_two() {
-    for args in [
-        &["--ckpt-every", "0"][..],
-        &["--ckpt-every", "nope"],
-        // Window checkpoints only exist on sharded runs.
-        &["--ckpt-every", "4"],
-        &["--ckpt-every", "4", "--shards", "1"],
-        // No --ckpt-dir and no --json directory to default into.
-        &["--ckpt-every", "4", "--shards", "2"],
-    ] {
-        let out = repro(args);
-        assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");
-        assert!(!out.stderr.is_empty(), "{args:?} must explain itself on stderr");
-    }
 }
 
 #[test]

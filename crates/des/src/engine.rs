@@ -99,19 +99,6 @@ pub enum SimError {
         /// Virtual time at which the run was abandoned.
         at: SimTime,
     },
-    /// The run was deliberately abandoned by its coordinator — today this is
-    /// the sharded scheduler stopping *at the condemnation barrier* once the
-    /// exactness guard trips, instead of winding the condemned schedule down
-    /// to completion (see `ShardedEngine`). Like [`SimError::Interrupted`],
-    /// this is not a failure of the simulated program; the caller is
-    /// expected to recover (for the MPI layer: replay from the last
-    /// verified window checkpoint on one engine).
-    Aborted {
-        /// Virtual time at which the run was abandoned.
-        at: SimTime,
-        /// Stable machine-readable reason (e.g. a condemnation reason).
-        reason: &'static str,
-    },
 }
 
 impl std::fmt::Display for SimError {
@@ -135,9 +122,6 @@ impl std::fmt::Display for SimError {
             }
             SimError::Interrupted { at } => {
                 write!(f, "run interrupted at {at} by the model-checking controller")
-            }
-            SimError::Aborted { at, reason } => {
-                write!(f, "run aborted at {at} by its coordinator: {reason}")
             }
         }
     }
@@ -470,7 +454,18 @@ impl Engine {
                 if mc.is_none() {
                     debug_assert!(ev.at >= st.now, "event queue went backwards in time");
                 }
-                self.begin_resume(&mut st, &ev);
+                // Make the event's process the running one. `max` semantics:
+                // a model-checking controller may dispatch an event that was
+                // pushed back behind a slightly later one (bounded timing
+                // skew); virtual time still never reverses. The resume
+                // generation bump invalidates any other pending event for it.
+                if ev.at > st.now {
+                    st.now = ev.at;
+                }
+                let slot = &mut st.procs[ev.pid.index()];
+                slot.status = Status::Running;
+                slot.gen += 1;
+                self.shared.trace_with(&mut st, || TraceEvent::ProcResume { pid: ev.pid });
                 if let Some(ctl) = &mc {
                     let hash = mc_engine_hash(&st);
                     if !ctl.observe_dispatch(ev.pid.index(), ev.seq, st.now, hash) {
@@ -605,22 +600,6 @@ impl Engine {
         Ok(chosen)
     }
 
-    /// Make the process owning `ev` the running one: advance virtual time
-    /// to the event, bump the process's resume generation (invalidating any
-    /// other pending event for it) and trace the resume.
-    fn begin_resume(&self, st: &mut State, ev: &Event) {
-        // `max` semantics: a model-checking controller may dispatch an event
-        // that was pushed back behind a slightly later one (bounded timing
-        // skew); virtual time still never reverses.
-        if ev.at > st.now {
-            st.now = ev.at;
-        }
-        let slot = &mut st.procs[ev.pid.index()];
-        slot.status = Status::Running;
-        slot.gen += 1;
-        self.shared.trace_with(st, || TraceEvent::ProcResume { pid: ev.pid });
-    }
-
     /// Poll the process selected by the dispatch loop until it suspends
     /// again (or finishes, or panics).
     fn execute_resume(&mut self, pid: Pid) -> Result<(), SimError> {
@@ -656,137 +635,6 @@ impl Engine {
                 slot.status = Status::Finished;
                 Err(SimError::ProcessPanic { process: slot.name.clone(), message })
             }
-        }
-    }
-
-    /// Dispatch every pending event with `at < limit`, in exactly the order
-    /// [`Engine::run`] would, then return. Used by the sharded runner
-    /// (`des::shard`) to advance one shard through a conservative time
-    /// window, and by checkpoint-verified serial recovery (DESIGN.md §4.10)
-    /// to pause a single-engine replay at each recorded window barrier so
-    /// its state hash can be compared against the checkpoint. After the last
-    /// windowed stretch the engine can hand the run to [`Engine::run`] —
-    /// scheduler state persists across calls.
-    ///
-    /// Returns `Ok(())` when the next live event is at or past `limit`, the
-    /// queue is empty, or every process has finished. An empty queue is
-    /// *not* a deadlock here — the sharded coordinator may refill it with
-    /// cross-shard wakes at the window barrier — so termination and deadlock
-    /// detection belong to the caller. Model checking is not supported in
-    /// windowed mode (the sharded entry points never enable it).
-    pub fn run_window(&mut self, limit: SimTime) -> Result<(), SimError> {
-        debug_assert!(self.shared.mc.is_none(), "windowed runs do not support model checking");
-        loop {
-            let pid = {
-                let mut st = self.shared.state.lock();
-                if st.live == 0 {
-                    return Ok(());
-                }
-                // Prune stale heads so the limit check sees a live event;
-                // stale events are consumed and counted exactly like the
-                // plain dispatch path, keeping event totals identical to a
-                // single-engine run.
-                let ev = loop {
-                    match st.queue.peek() {
-                        None => return Ok(()),
-                        Some(head) if head.at >= limit => return Ok(()),
-                        Some(_) => {}
-                    }
-                    self.check_budget(&mut st)?;
-                    let ev = st.queue.pop().expect("peeked event vanished");
-                    st.events_dispatched += 1;
-                    if !Self::is_stale(&st, &ev) {
-                        break ev;
-                    }
-                };
-                debug_assert!(ev.at >= st.now, "event queue went backwards in time");
-                self.begin_resume(&mut st, &ev);
-                ev.pid
-            };
-            self.execute_resume(pid)?;
-        }
-    }
-
-    /// A handle to this engine's scheduler state for the sharded runner:
-    /// lets the coordinator inspect queues and inject cross-shard wakes
-    /// while the shard's worker thread is quiescent between windows.
-    pub(crate) fn handle(&self) -> EngineHandle {
-        EngineHandle { shared: Arc::clone(&self.shared) }
-    }
-
-    /// Collect the final report of a windowed run.
-    pub(crate) fn finish_windowed(self) -> RunReport {
-        self.shared.state.lock().report()
-    }
-}
-
-/// A cloneable view of one engine's scheduler state, used by the sharded
-/// runner (`des::shard`) between windows, when the shard's worker thread is
-/// parked at a barrier and the engine itself is quiescent.
-#[derive(Clone)]
-pub(crate) struct EngineHandle {
-    shared: Arc<Shared>,
-}
-
-impl EngineHandle {
-    /// Schedule a wake for a parked process (same contract as
-    /// [`ProcCtx::wake_at`]).
-    pub(crate) fn wake_at(&self, target: Pid, at: SimTime) {
-        wake_at_impl(&self.shared, target, at);
-    }
-
-    /// Timestamp of the earliest *live* pending event, pruning (and
-    /// counting, as dispatch would) any stale events sitting on top of the
-    /// queue. `None` if no live event is pending.
-    pub(crate) fn next_live_event_time(&self) -> Option<SimTime> {
-        let mut st = self.shared.state.lock();
-        loop {
-            match st.queue.peek() {
-                None => return None,
-                Some(ev) if !Engine::is_stale(&st, ev) => return Some(ev.at),
-                Some(_) => {}
-            }
-            st.queue.pop();
-            st.events_dispatched += 1;
-        }
-    }
-
-    /// Number of unfinished processes on this shard.
-    pub(crate) fn live(&self) -> u32 {
-        self.shared.state.lock().live
-    }
-
-    /// The shard's current virtual time.
-    pub(crate) fn now(&self) -> SimTime {
-        self.shared.state.lock().now
-    }
-
-    /// Status-annotated names of unfinished processes (deadlock reports).
-    pub(crate) fn live_process_diag(&self) -> Vec<String> {
-        Engine::live_process_diag(&self.shared.state.lock())
-    }
-
-    /// Total events this shard has dispatched so far (including stale ones).
-    pub(crate) fn events_dispatched(&self) -> u64 {
-        self.shared.state.lock().events_dispatched
-    }
-
-    /// Order-insensitive structural hash of this shard's scheduler state
-    /// (per-process status + resume generation, plus the live event queue
-    /// as a multiset). Used by window checkpoints: equal hashes at aligned
-    /// barriers certify that a replay reproduced the scheduler state.
-    pub(crate) fn state_hash(&self) -> u64 {
-        mc_engine_hash(&self.shared.state.lock())
-    }
-
-    /// Emit one coordinator-level trace event (e.g. a window checkpoint or a
-    /// condemnation) into this shard's trace stream, honouring the installed
-    /// tracer's class filter. Must only be called while the shard's worker
-    /// thread is quiescent at a barrier.
-    pub(crate) fn emit_trace(&self, event: TraceEvent) {
-        if self.shared.trace_mask.accepts(&event) {
-            let mut st = self.shared.state.lock();
-            self.shared.trace_record(&mut st, event);
         }
     }
 }

@@ -184,22 +184,6 @@ pub enum TraceEvent {
         /// Phase name; must match the open span.
         name: String,
     },
-    /// The sharded exactness guard condemned the windowed schedule: the run
-    /// stops at the trip barrier and is replayed from its last verified
-    /// window checkpoint on one engine (see DESIGN.md §4.10). Emitted once,
-    /// by shard 0's tracer stream.
-    Condemned {
-        /// Stable reason string — `CondemnReason::as_str()` in `netsim`:
-        /// `"link_order"`, `"cascade"`, `"wildcard_recv"` or `"forced"`.
-        reason: &'static str,
-    },
-    /// A sharded window barrier was verified clean and captured as a
-    /// rollback checkpoint. Emitted by shard 0's tracer stream at each
-    /// barrier the guard passed.
-    CkptWindow {
-        /// 1-based index of the checkpointed window.
-        window: u64,
-    },
     /// The datacenter scheduler accepted a job into its queue (emitted by
     /// the `sched` crate's replay loop, not by the engine).
     JobSubmit {
@@ -255,7 +239,6 @@ impl TraceEvent {
             | TraceEvent::ProcWake { .. }
             | TraceEvent::ProcFinish { .. }
             | TraceEvent::BudgetExhausted { .. }
-            | TraceEvent::CkptWindow { .. }
             | TraceEvent::JobSubmit { .. }
             | TraceEvent::JobStart { .. }
             | TraceEvent::JobFinish { .. } => TraceClass::Proc,
@@ -265,7 +248,7 @@ impl TraceEvent {
             | TraceEvent::FlowStart { .. }
             | TraceEvent::FlowFinish { .. }
             | TraceEvent::FlowReshare { .. } => TraceClass::Msg,
-            TraceEvent::Fault { .. } | TraceEvent::Condemned { .. } => TraceClass::Fault,
+            TraceEvent::Fault { .. } => TraceClass::Fault,
             TraceEvent::SpanBegin { .. } | TraceEvent::SpanEnd { .. } => TraceClass::Span,
         }
     }
@@ -290,8 +273,6 @@ impl TraceEvent {
             TraceEvent::Fault { .. } => "fault",
             TraceEvent::SpanBegin { .. } => "span_begin",
             TraceEvent::SpanEnd { .. } => "span_end",
-            TraceEvent::Condemned { .. } => "condemned",
-            TraceEvent::CkptWindow { .. } => "ckpt_window",
             TraceEvent::JobSubmit { .. } => "job_submit",
             TraceEvent::JobStart { .. } => "job_start",
             TraceEvent::JobFinish { .. } => "job_finish",
@@ -578,8 +559,6 @@ mod tests {
             TraceEvent::Fault { kind: "node_crash", node: 0 },
             TraceEvent::SpanBegin { rank: 0, name: "x".into() },
             TraceEvent::SpanEnd { rank: 0, name: "x".into() },
-            TraceEvent::Condemned { reason: "link_order" },
-            TraceEvent::CkptWindow { window: 1 },
             TraceEvent::JobSubmit { job: 0, tenant: 0, nodes: 4 },
             TraceEvent::JobStart { job: 0, nodes: 4, wait: SimTime::ZERO },
             TraceEvent::JobFinish { job: 0, outcome: "completed" },

@@ -397,39 +397,6 @@ impl FlowNet {
         self.now = to;
     }
 
-    /// Structural fingerprint of the in-flight fluid state, for window
-    /// checkpoints (`des::ckpt`): fluid clock, slab window, and every
-    /// unconsumed flow's id, phase, progress and route. Two `FlowNet`s at
-    /// the same deterministic cut fingerprint identically; any divergence in
-    /// registered flows, drained bytes or completion stamps changes the
-    /// value. Byte exactness of `remaining`/`rate` is safe to hash: the
-    /// fluid arithmetic itself is bit-deterministic (fixed iteration order,
-    /// no platform-dependent math), which is what makes flow-model runs
-    /// reproducible at all.
-    pub fn state_fingerprint(&self) -> u64 {
-        let mut h = 0x666c_6f77_6670u64; // "flowfp"
-        h = des::mc::mix(h, self.now.as_nanos());
-        h = des::mc::mix(h, self.base);
-        for (i, slot) in self.slots.iter().enumerate() {
-            let id = self.base + i as u64;
-            let tag = match slot {
-                Slot::InFlight(f) => {
-                    let mut t = des::mc::mix(1, f.starts_at.as_nanos());
-                    t = des::mc::mix(t, f.remaining.to_bits());
-                    t = des::mc::mix(t, f.rate.to_bits());
-                    for &l in f.route.as_ref() {
-                        t = des::mc::mix(t, l as u64 + 1);
-                    }
-                    t
-                }
-                Slot::Done(at) => des::mc::mix(2, at.as_nanos()),
-                Slot::Consumed => 3,
-            };
-            h = des::mc::mix(h, des::mc::mix(id, tag));
-        }
-        h
-    }
-
     /// Re-share if rates are stale ([`FlowNet::dirty`]).
     fn flush_rates(&mut self) {
         if self.dirty {
@@ -756,23 +723,6 @@ mod tests {
             ids.into_iter().map(|id| finish(&mut net, id).as_nanos()).collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn state_fingerprint_tracks_flow_state() {
-        let mut a = star(3);
-        let mut b = star(3);
-        assert_eq!(a.state_fingerprint(), b.state_fingerprint());
-        let fa = a.start(SimTime::ZERO, SimTime::ZERO, 0, 1, 12_500_000);
-        assert_ne!(a.state_fingerprint(), b.state_fingerprint(), "in-flight flow must show");
-        let fb = b.start(SimTime::ZERO, SimTime::ZERO, 0, 1, 12_500_000);
-        assert_eq!(a.state_fingerprint(), b.state_fingerprint(), "same cut, same fingerprint");
-        // Draining one network ahead of the other diverges the fingerprint;
-        // catching the other up to the identical cut re-converges it.
-        let at = finish(&mut a, fa);
-        assert_ne!(a.state_fingerprint(), b.state_fingerprint());
-        assert_eq!(finish(&mut b, fb), at);
-        assert_eq!(a.state_fingerprint(), b.state_fingerprint());
     }
 
     fn rate(net: &FlowNet, id: FlowId) -> f64 {

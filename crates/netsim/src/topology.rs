@@ -68,71 +68,6 @@ impl TopologySpec {
     }
 }
 
-/// A contiguous assignment of the first `end` nodes to engine shards, used
-/// by the sharded job runner: shard `s` owns the node range
-/// `[starts[s], starts[s+1])` (the last shard ends at `end`). Nodes at or
-/// beyond `end` host no ranks and belong to no shard.
-///
-/// Contiguity is what makes the shard-safety analysis tractable: a shard's
-/// intra-shard routes stay on links its own nodes (and, on the tree, its own
-/// whole districts) reach, so concurrent shards never race on a link
-/// reservation — see [`Network::partition_isolates_links`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Partition {
-    /// First node of each shard, ascending, `starts[0] == 0`.
-    starts: Vec<u32>,
-    /// One past the last partitioned node.
-    end: u32,
-}
-
-impl Partition {
-    /// Split nodes `0..used_nodes` into `shards` contiguous ranges of
-    /// near-equal size (earlier shards take the remainder). Returns `None`
-    /// when fewer than 2 shards are requested or there are not enough nodes
-    /// to give every shard at least one.
-    pub fn contiguous(used_nodes: u32, shards: u32) -> Option<Partition> {
-        if shards < 2 || shards > used_nodes {
-            return None;
-        }
-        let base = used_nodes / shards;
-        let rem = used_nodes % shards;
-        let mut starts = Vec::with_capacity(shards as usize);
-        let mut at = 0;
-        for s in 0..shards {
-            starts.push(at);
-            at += base + u32::from(s < rem);
-        }
-        debug_assert_eq!(at, used_nodes);
-        Some(Partition { starts, end: used_nodes })
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> u32 {
-        self.starts.len() as u32
-    }
-
-    /// One past the last partitioned node.
-    pub fn end(&self) -> u32 {
-        self.end
-    }
-
-    /// Shard owning `node` (which must be `< end()`).
-    pub fn shard_of(&self, node: u32) -> u32 {
-        debug_assert!(node < self.end);
-        // partition_point: number of starts <= node; the owning shard is one
-        // less than that.
-        (self.starts.partition_point(|&s| s <= node) - 1) as u32
-    }
-
-    /// Node range `[first, one_past_last)` of a shard.
-    pub fn bounds(&self, shard: u32) -> (u32, u32) {
-        let s = shard as usize;
-        let first = self.starts[s];
-        let last = self.starts.get(s + 1).copied().unwrap_or(self.end);
-        (first, last)
-    }
-}
-
 /// A time window during which one node's links drop frames.
 ///
 /// Fault-injection layers (the `simmpi` crate's `FaultPlan`) register these
@@ -150,76 +85,6 @@ pub struct LossWindow {
     pub loss: f64,
 }
 
-/// Why the reservation-order guard condemned a windowed schedule (see
-/// [`Network::guard_reservations`]). Surfaced through
-/// [`Network::guard_condemn_reason`] so condemned runs are diagnosable from
-/// a trace or a run report instead of opaque.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CondemnReason {
-    /// An in-window reservation touched a link out of departure order (or in
-    /// an ambiguous departure tie with another source stream): the windowed
-    /// schedule is not provably identical to the serial one.
-    LinkOrder,
-    /// A barrier-replayed reservation (source tagged with
-    /// [`GUARD_REPLAY_SOURCE`]) conflicted with an in-window one — the
-    /// tightly-cascading cross-boundary case where a replay lands after a
-    /// reservation the serial engine would have ordered later.
-    Cascade,
-    /// A wildcard receive observed mailbox arrival order, which a windowed
-    /// run does not reproduce. Tripped explicitly by the MPI layer via
-    /// [`Network::guard_trip`].
-    WildcardRecv,
-    /// Condemnation was injected on purpose ([`Network::guard_trip`] from a
-    /// validation knob such as `JobSpec::condemn_at_window`), to exercise
-    /// the recovery path.
-    Forced,
-}
-
-impl CondemnReason {
-    /// Stable snake_case name, used as the trace `reason` field.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            CondemnReason::LinkOrder => "link_order",
-            CondemnReason::Cascade => "cascade",
-            CondemnReason::WildcardRecv => "wildcard_recv",
-            CondemnReason::Forced => "forced",
-        }
-    }
-}
-
-impl std::fmt::Display for CondemnReason {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// Source-tag bit marking barrier-replay reservation streams (the sharded
-/// MPI runner replays cross-shard packets at window barriers under
-/// `GUARD_REPLAY_SOURCE | shard`). The guard classifies a trip caused by a
-/// replay-tagged reservation as [`CondemnReason::Cascade`] rather than
-/// [`CondemnReason::LinkOrder`].
-pub const GUARD_REPLAY_SOURCE: u32 = 1 << 16;
-
-/// Reservation-order guard for sharded runs. The serial engine reserves
-/// links in virtual-time order of the `transmit` calls; a windowed run
-/// reserves intra-shard traffic mid-window and cross-shard traffic at
-/// barriers, which reproduces that order *except* when one link is touched
-/// by both streams within a lookahead of each other. The guard checks the
-/// property directly: every link must see non-decreasing departure times,
-/// and a departure-time tie is only unambiguous within one source stream.
-/// A violation means the windowed schedule is not provably identical to the
-/// serial one — the caller discards the run and redoes it serially.
-#[derive(Clone, Debug)]
-struct ResGuard {
-    /// Per-link `(depart, source)` of the most recent reservation.
-    last: Vec<Option<(SimTime, u32)>>,
-    /// Source tag stamped on subsequent reservations.
-    source: u32,
-    /// Sticky: why the first condemning reservation condemned the schedule
-    /// (`None` while the schedule is still provably serial-identical).
-    tripped: Option<CondemnReason>,
-}
-
 /// The interconnect: topology + per-link reservation state.
 #[derive(Clone, Debug)]
 pub struct Network {
@@ -228,8 +93,6 @@ pub struct Network {
     pub link_bw_bytes: f64,
     links: Vec<Link>,
     loss_windows: Vec<LossWindow>,
-    /// Armed only for sharded runs; `None` costs one branch per link.
-    guard: Option<ResGuard>,
 }
 
 /// Index layout within `links`:
@@ -256,62 +119,7 @@ impl Network {
                 }
             }
         }
-        Network { spec, link_bw_bytes, links, loss_windows: Vec::new(), guard: None }
-    }
-
-    /// Arm the reservation-order guard (sharded runs only): from here on
-    /// every [`Network::transmit`] checks that each link on the route is
-    /// reserved in non-decreasing departure order, with departure ties
-    /// allowed only within one [`Network::guard_source`] stream — the
-    /// property that makes a windowed schedule provably identical to the
-    /// serial engine's. [`Network::guard_tripped`] reports a violation.
-    pub fn guard_reservations(&mut self) {
-        self.guard =
-            Some(ResGuard { last: vec![None; self.links.len()], source: 0, tripped: None });
-    }
-
-    /// Stamp the source stream (e.g. the shard index, or a barrier-replay
-    /// tag) on subsequent reservations. No-op while the guard is unarmed.
-    pub fn guard_source(&mut self, source: u32) {
-        if let Some(g) = &mut self.guard {
-            g.source = source;
-        }
-    }
-
-    /// Condemn the schedule explicitly — for order dependences the link
-    /// guard cannot see, such as wildcard receives observing mailbox
-    /// arrival order ([`CondemnReason::WildcardRecv`]) or deliberate fault
-    /// injection ([`CondemnReason::Forced`]). The first trip's reason wins;
-    /// no-op while the guard is unarmed.
-    pub fn guard_trip(&mut self, reason: CondemnReason) {
-        if let Some(g) = &mut self.guard {
-            g.tripped.get_or_insert(reason);
-        }
-    }
-
-    /// Whether the guard saw any reservation the serial engine might have
-    /// ordered differently (sticky until the guard is re-armed).
-    pub fn guard_tripped(&self) -> bool {
-        self.guard.as_ref().is_some_and(|g| g.tripped.is_some())
-    }
-
-    /// Why the guard condemned the schedule: the first trip's
-    /// [`CondemnReason`], or `None` while clean (or unarmed).
-    pub fn guard_condemn_reason(&self) -> Option<CondemnReason> {
-        self.guard.as_ref().and_then(|g| g.tripped)
-    }
-
-    /// Order-insensitive fingerprint of the per-link reservation state
-    /// (each link's next-free time): the part of the network that shapes
-    /// every *future* transfer's timing. Window checkpoints fold this in so
-    /// a recovered run can certify that its replayed link state matches the
-    /// verified prefix (see `des::ckpt`).
-    pub fn reservation_fingerprint(&self) -> u64 {
-        let mut h = 0x7265_7356_6670u64;
-        for (i, l) in self.links.iter().enumerate() {
-            h = h.wrapping_add(des::mc::mix(i as u64 + 1, l.next_free.as_nanos()));
-        }
-        h
+        Network { spec, link_bw_bytes, links, loss_windows: Vec::new() }
     }
 
     /// Gigabit-Ethernet network (125 MB/s links, 1.25 µs per traversal).
@@ -412,21 +220,6 @@ impl Network {
         let mut head = depart;
         let mut bottleneck = SimTime::ZERO;
         for &li in &route {
-            if let Some(g) = &mut self.guard {
-                match g.last[li] {
-                    Some((d, s)) if depart < d || (depart == d && s != g.source) => {
-                        // Replay-tagged streams mean the conflict came from a
-                        // barrier replay of cascading cross-boundary traffic.
-                        let reason = if g.source & GUARD_REPLAY_SOURCE != 0 {
-                            CondemnReason::Cascade
-                        } else {
-                            CondemnReason::LinkOrder
-                        };
-                        g.tripped.get_or_insert(reason);
-                    }
-                    _ => g.last[li] = Some((depart, g.source)),
-                }
-            }
             let link = &mut self.links[li];
             let serial = SimTime::from_secs_f64(wire_bytes as f64 / link.bw_bytes);
             let start = head.max(link.next_free);
@@ -435,102 +228,6 @@ impl Network {
             bottleneck = bottleneck.max(serial);
         }
         head + bottleneck
-    }
-
-    /// Minimum [`Network::path_latency`] over every pair of nodes in
-    /// *different* shards of `p` — the conservative lookahead bound for
-    /// time-windowed parallel simulation: no message emitted by one shard at
-    /// time `t` can affect another shard before `t + L`, so all shards may
-    /// safely simulate `L` beyond the globally earliest pending event.
-    ///
-    /// Exact by exhaustive scan for small node counts; for larger networks a
-    /// structural shortcut picks a representative minimal pair (valid because
-    /// the constructor gives every link the same latency, so path latency is
-    /// a function of hop count alone — asserted in debug builds). The
-    /// property test in `tests/properties.rs` pins both paths against each
-    /// other and against the lower-bound property.
-    ///
-    /// # Panics
-    ///
-    /// The partition must have at least two shards and lie within this
-    /// network (`p.end() <= nodes()`).
-    pub fn min_cross_partition_latency(&self, p: &Partition) -> SimTime {
-        assert!(p.shards() >= 2, "lookahead needs at least two shards");
-        assert!(p.end() <= self.nodes(), "partition exceeds the network");
-        // No pair of distinct nodes routes over fewer than two links (one up,
-        // one down), so any two-link cross pair is globally minimal and the
-        // scan can stop early.
-        let two_hop_floor = self.links[NODE_UP].latency + self.links[NODE_DOWN].latency;
-        if p.end() <= 512 {
-            let mut best: Option<SimTime> = None;
-            'scan: for a in 0..p.end() {
-                let sa = p.shard_of(a);
-                for b in 0..p.end() {
-                    if a == b || p.shard_of(b) == sa {
-                        continue;
-                    }
-                    let l = self.path_latency(a, b);
-                    best = Some(best.map_or(l, |x| x.min(l)));
-                    if best == Some(two_hop_floor) {
-                        break 'scan;
-                    }
-                }
-            }
-            return best.expect("a >=2-shard partition always has a cross pair");
-        }
-        // Structural shortcut (uniform link latency): the minimum is achieved
-        // by an adjacent pair across a shard boundary, preferring a boundary
-        // that splits a tree district (2-hop route) over one between
-        // districts (4-hop route).
-        debug_assert!(
-            self.links.iter().all(|l| l.latency == self.links[0].latency),
-            "structural lookahead shortcut assumes uniform link latency"
-        );
-        let mut best: Option<SimTime> = None;
-        for s in 1..p.shards() {
-            // The first node of shard s and its left neighbour (shard s-1)
-            // form a genuine adjacent cross pair.
-            let boundary = p.bounds(s).0;
-            let l = self.path_latency(boundary - 1, boundary);
-            best = Some(best.map_or(l, |x| x.min(l)));
-        }
-        best.expect("a >=2-shard partition always has a boundary")
-    }
-
-    /// Whether `p` isolates intra-shard link reservations: no link is ever
-    /// reserved by in-window transmits of two different shards, so shards may
-    /// run concurrently between barriers without racing on `next_free` state.
-    ///
-    /// * Star: always true — an intra-shard route touches only the up/down
-    ///   links of its own (shard-owned) endpoints.
-    /// * Tree: a route inside one district touches only endpoint links; a
-    ///   cross-district route additionally reserves trunk links of both
-    ///   districts. So the partition is safe iff every district is either
-    ///   owned outright by one shard, or shared only by shards that lie
-    ///   entirely inside it (whose routes then never reach a trunk).
-    pub fn partition_isolates_links(&self, p: &Partition) -> bool {
-        let TopologySpec::Tree { nodes_per_edge, .. } = self.spec else {
-            return true;
-        };
-        let npe = nodes_per_edge;
-        let districts = p.end().div_ceil(npe);
-        for d in 0..districts {
-            let lo = d * npe;
-            let hi = ((d + 1) * npe).min(p.end());
-            let s0 = p.shard_of(lo);
-            let s1 = p.shard_of(hi - 1);
-            if s0 == s1 {
-                continue; // district owned by (at most) one shard
-            }
-            // Shared district: every toucher must live entirely inside it.
-            for s in s0..=s1 {
-                let (a, b) = p.bounds(s);
-                if a < lo || b > hi {
-                    return false;
-                }
-            }
-        }
-        true
     }
 
     /// Register a loss window: `node`'s links drop frames with probability
@@ -684,71 +381,6 @@ mod tests {
             loss: 0.75,
         });
         assert_eq!(net.loss_probability(0, 1, SimTime::from_millis(15)), 0.75);
-    }
-
-    #[test]
-    fn partition_contiguous_splits_evenly() {
-        let p = Partition::contiguous(10, 4).unwrap();
-        assert_eq!(p.shards(), 4);
-        assert_eq!(p.bounds(0), (0, 3));
-        assert_eq!(p.bounds(1), (3, 6));
-        assert_eq!(p.bounds(2), (6, 8));
-        assert_eq!(p.bounds(3), (8, 10));
-        for n in 0..10 {
-            let s = p.shard_of(n);
-            let (a, b) = p.bounds(s);
-            assert!(a <= n && n < b, "node {n} misplaced in shard {s}");
-        }
-        assert!(Partition::contiguous(4, 1).is_none());
-        assert!(Partition::contiguous(3, 4).is_none());
-    }
-
-    #[test]
-    fn lookahead_is_two_hops_on_a_star() {
-        let net = Network::gbe(TopologySpec::Star { nodes: 64 });
-        let p = Partition::contiguous(64, 4).unwrap();
-        assert_eq!(net.min_cross_partition_latency(&p), SimTime::from_micros_f64(2.5));
-    }
-
-    #[test]
-    fn lookahead_matches_partition_shape_on_the_tree() {
-        let net = Network::gbe(TopologySpec::tibidabo());
-        // District-aligned halves: every cross pair is cross-district, 4 hops.
-        let aligned = Partition::contiguous(192, 2).unwrap();
-        assert_eq!(net.min_cross_partition_latency(&aligned), SimTime::from_micros_f64(5.0));
-        assert!(net.partition_isolates_links(&aligned));
-        // A split inside district 0: the boundary pair shares an edge switch.
-        let split = Partition::contiguous(4, 2).unwrap();
-        assert_eq!(net.min_cross_partition_latency(&split), SimTime::from_micros_f64(2.5));
-        assert!(net.partition_isolates_links(&split));
-        // 3 shards over 192 nodes put boundaries mid-district while other
-        // shards also touch those districts: not link-isolated.
-        let skew = Partition::contiguous(192, 3).unwrap();
-        assert!(!net.partition_isolates_links(&skew));
-    }
-
-    #[test]
-    fn lookahead_is_a_lower_bound_on_cross_pairs() {
-        for (spec, used, shards) in [
-            (TopologySpec::Star { nodes: 16 }, 16u32, 3u32),
-            (TopologySpec::tibidabo(), 100, 2),
-            (TopologySpec::tibidabo(), 192, 4),
-        ] {
-            let net = Network::gbe(spec);
-            let p = Partition::contiguous(used, shards).unwrap();
-            let la = net.min_cross_partition_latency(&p);
-            let mut seen_equal = false;
-            for a in 0..used {
-                for b in 0..used {
-                    if a != b && p.shard_of(a) != p.shard_of(b) {
-                        let l = net.path_latency(a, b);
-                        assert!(la <= l, "lookahead {la} exceeds path {a}->{b} = {l}");
-                        seen_equal |= l == la;
-                    }
-                }
-            }
-            assert!(seen_equal, "lookahead must be attained by some cross pair");
-        }
     }
 
     #[test]

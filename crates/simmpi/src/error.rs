@@ -56,16 +56,6 @@ pub enum JobSpecError {
     /// `event_budget` is `Some(0)`: a zero budget can never dispatch even
     /// the ranks' start events, so the spec is unrunnable by construction.
     BadEventBudget,
-    /// `shards` is `Some(0)`: a job cannot run on zero engine shards.
-    /// (`Some(1)` is valid and pins the serial engine.)
-    BadShards,
-    /// `checkpoint_every` is `Some(0)`: a zero window period would mean a
-    /// disk checkpoint at every barrier *and* still be ambiguous with
-    /// "disabled"; periods start at 1.
-    BadCheckpointEvery,
-    /// `condemn_at_window` is `Some(0)`: windows are 1-based, so there is
-    /// no window 0 to condemn at.
-    BadCondemnWindow,
 }
 
 impl fmt::Display for JobSpecError {
@@ -90,15 +80,6 @@ impl fmt::Display for JobSpecError {
             }
             JobSpecError::BadEventBudget => {
                 write!(f, "event_budget must be positive when set")
-            }
-            JobSpecError::BadShards => {
-                write!(f, "shards must be positive when set")
-            }
-            JobSpecError::BadCheckpointEvery => {
-                write!(f, "checkpoint_every must be positive when set")
-            }
-            JobSpecError::BadCondemnWindow => {
-                write!(f, "condemn_at_window must be positive when set (windows are 1-based)")
             }
         }
     }

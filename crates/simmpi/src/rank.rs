@@ -37,17 +37,16 @@
 //! instant and `run_mpi` reports it.
 
 use std::future::Future;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use des::{Engine, ProcCtx, SimTime, TraceEvent, Tracer};
-use netsim::{CondemnReason, FlowStatus, NetModel, Partition};
+use netsim::{FlowStatus, NetModel};
 use parking_lot::Mutex;
 use soc_arch::WorkProfile;
 
 use crate::error::MpiFault;
 use crate::payload::Msg;
-use crate::shard::{apply_cross_packets, Packet, ShardCtx};
 use crate::world::{
     backoff, matches, BulkData, Delivery, InMsg, JobSpec, NetStats, RetriesExhausted, Wake, World,
 };
@@ -115,154 +114,21 @@ pub fn default_net_model() -> NetModel {
     }
 }
 
-/// Process-global default shard count for jobs whose spec leaves
-/// [`JobSpec::shards`] unset (the `repro --shards` plumbing; same
-/// one-switch pattern as the event budget and net model). `0` = unset.
-static DEFAULT_SHARDS: AtomicU32 = AtomicU32::new(0);
+/// No effect; kept only because `perfbench/harness` calls it; the next
+/// benchmark PR deletes the call and this item.
+pub fn set_default_shards(_shards: Option<u32>) {}
 
-/// Set the process-global default shard count applied to every subsequent
-/// [`run_mpi`] job that does not pin one via
-/// [`JobSpec::with_shards`](crate::JobSpec::with_shards). `None` or
-/// `Some(0)` removes the default (serial engine).
-///
-/// Like every process-global default here, the value is **snapshotted once
-/// when `run_mpi` starts a job**: changing a default concurrently with a
-/// running job — including from another of that job's own shard threads —
-/// cannot affect it (see the shard-safety regression test in
-/// `tests/shard_safety.rs`).
-pub fn set_default_shards(shards: Option<u32>) {
-    DEFAULT_SHARDS.store(shards.unwrap_or(0), Ordering::Relaxed);
-}
+/// No effect; kept only because `perfbench/harness` calls it; the next
+/// benchmark PR deletes the call and this item.
+pub fn set_default_ckpt_every(_windows: Option<u64>) {}
 
-/// The effective process-global default shard count (`1` = serial engine).
-pub fn default_shards() -> u32 {
-    DEFAULT_SHARDS.load(Ordering::Relaxed).max(1)
-}
+/// No effect; kept only because `perfbench/harness` calls it; the next
+/// benchmark PR deletes the call and this item.
+pub fn set_default_ckpt_dir(_dir: Option<std::path::PathBuf>) {}
 
-/// Process-global default disk-checkpoint period (windows) for jobs whose
-/// spec leaves [`JobSpec::ckpt_every`] unset (the `repro --ckpt-every`
-/// plumbing). `0` = no disk checkpoints.
-static DEFAULT_CKPT_EVERY: AtomicU64 = AtomicU64::new(0);
-
-/// Set the process-global default disk-checkpoint period applied to every
-/// subsequent sharded [`run_mpi`] job that does not pin one via
-/// [`JobSpec::checkpoint_every`](crate::JobSpec::checkpoint_every). `None`
-/// or `Some(0)` removes the default.
-pub fn set_default_ckpt_every(windows: Option<u64>) {
-    DEFAULT_CKPT_EVERY.store(windows.unwrap_or(0), Ordering::Relaxed);
-}
-
-/// The current process-global default disk-checkpoint period, if any.
-pub fn default_ckpt_every() -> Option<u64> {
-    match DEFAULT_CKPT_EVERY.load(Ordering::Relaxed) {
-        0 => None,
-        n => Some(n),
-    }
-}
-
-/// Process-global default checkpoint directory for jobs whose spec leaves
-/// [`JobSpec::ckpt_dir`] unset (the `repro --ckpt-dir` plumbing).
-static DEFAULT_CKPT_DIR: std::sync::Mutex<Option<std::path::PathBuf>> = std::sync::Mutex::new(None);
-
-/// Set (or, with `None`, remove) the process-global default checkpoint
-/// directory. Disk checkpoints need both a directory and a period; each
-/// job's checkpoint file inside the directory is named from the job-spec
-/// fingerprint, so concurrent sweeps of distinct cells never collide.
-pub fn set_default_ckpt_dir(dir: Option<std::path::PathBuf>) {
-    *DEFAULT_CKPT_DIR.lock().expect("default ckpt dir lock poisoned") = dir;
-}
-
-/// The current process-global default checkpoint directory, if any.
-pub fn default_ckpt_dir() -> Option<std::path::PathBuf> {
-    DEFAULT_CKPT_DIR.lock().expect("default ckpt dir lock poisoned").clone()
-}
-
-/// Process-global switch selecting the *legacy* condemnation behaviour
-/// (wind the condemned windowed schedule down, then rerun the whole job
-/// serially from scratch) instead of checkpoint rollback. Kept only for the
-/// `scale_bench` recovery ablation, which measures what rollback saves.
-static DEFAULT_CONDEMN_WINDDOWN: std::sync::atomic::AtomicBool =
-    std::sync::atomic::AtomicBool::new(false);
-
-/// Select the legacy wind-down-then-full-rerun condemnation path (`true`)
-/// or checkpoint rollback (`false`, the default). Snapshotted at job start
-/// like every other process-global default. Both paths produce
-/// byte-identical results; they differ only in wall-clock cost.
-pub fn set_default_condemn_winddown(winddown: bool) {
-    DEFAULT_CONDEMN_WINDDOWN.store(winddown, Ordering::Relaxed);
-}
-
-/// Whether the legacy wind-down condemnation path is selected.
-pub fn default_condemn_winddown() -> bool {
-    DEFAULT_CONDEMN_WINDDOWN.load(Ordering::Relaxed)
-}
-
-// Process-wide condemnation/recovery tallies, accumulated across every
-// `run_mpi` job since process start. The bench sweep driver snapshots them
-// around a sweep (`CondemnTelemetry::since`) to report recovery outcomes in
-// `_sweep_stats.json` without threading counters through every driver.
-static CONDEMNED_RUNS: AtomicU64 = AtomicU64::new(0);
-static CONDEMNED_EVENTS: AtomicU64 = AtomicU64::new(0);
-static CONDEMNED_WALL_US: AtomicU64 = AtomicU64::new(0);
-static RECOVERY_WINDOWS_RECORDED: AtomicU64 = AtomicU64::new(0);
-static RECOVERY_WINDOWS_VERIFIED: AtomicU64 = AtomicU64::new(0);
-static RECOVERY_WALL_US: AtomicU64 = AtomicU64::new(0);
-static RESUME_VERIFIED_RUNS: AtomicU64 = AtomicU64::new(0);
-static CKPTS_WRITTEN: AtomicU64 = AtomicU64::new(0);
-
-/// Snapshot of the process-wide condemnation/recovery counters (see
-/// [`condemn_telemetry`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct CondemnTelemetry {
-    /// Sharded runs condemned by the exactness guard (either path).
-    pub condemned_runs: u64,
-    /// Engine events the condemned attempts had dispatched when condemned
-    /// (rollback) or when their wind-down finished (legacy).
-    pub condemned_events: u64,
-    /// Host wall-clock seconds spent in condemned sharded attempts.
-    pub condemned_wall_s: f64,
-    /// Window checkpoints the condemned attempts had recorded.
-    pub windows_recorded: u64,
-    /// Recovery-replay barriers re-certified against those checkpoints.
-    pub windows_verified: u64,
-    /// Host wall-clock seconds spent in recovery replays (or legacy serial
-    /// reruns).
-    pub recovery_wall_s: f64,
-    /// Runs whose on-disk checkpoint certified a bit-identical resume.
-    pub resumed_verified: u64,
-    /// On-disk checkpoints written (fsync'd temp-and-rename commits).
-    pub ckpts_written: u64,
-}
-
-impl CondemnTelemetry {
-    /// The counter deltas accumulated since `baseline` was snapshotted.
-    pub fn since(&self, baseline: &CondemnTelemetry) -> CondemnTelemetry {
-        CondemnTelemetry {
-            condemned_runs: self.condemned_runs - baseline.condemned_runs,
-            condemned_events: self.condemned_events - baseline.condemned_events,
-            condemned_wall_s: self.condemned_wall_s - baseline.condemned_wall_s,
-            windows_recorded: self.windows_recorded - baseline.windows_recorded,
-            windows_verified: self.windows_verified - baseline.windows_verified,
-            recovery_wall_s: self.recovery_wall_s - baseline.recovery_wall_s,
-            resumed_verified: self.resumed_verified - baseline.resumed_verified,
-            ckpts_written: self.ckpts_written - baseline.ckpts_written,
-        }
-    }
-}
-
-/// Snapshot the process-wide condemnation/recovery counters.
-pub fn condemn_telemetry() -> CondemnTelemetry {
-    CondemnTelemetry {
-        condemned_runs: CONDEMNED_RUNS.load(Ordering::Relaxed),
-        condemned_events: CONDEMNED_EVENTS.load(Ordering::Relaxed),
-        condemned_wall_s: CONDEMNED_WALL_US.load(Ordering::Relaxed) as f64 / 1e6,
-        windows_recorded: RECOVERY_WINDOWS_RECORDED.load(Ordering::Relaxed),
-        windows_verified: RECOVERY_WINDOWS_VERIFIED.load(Ordering::Relaxed),
-        recovery_wall_s: RECOVERY_WALL_US.load(Ordering::Relaxed) as f64 / 1e6,
-        resumed_verified: RESUME_VERIFIED_RUNS.load(Ordering::Relaxed),
-        ckpts_written: CKPTS_WRITTEN.load(Ordering::Relaxed),
-    }
-}
+/// No effect; kept only because `perfbench/harness` calls it; the next
+/// benchmark PR deletes the call and this item.
+pub fn set_default_condemn_winddown(_winddown: bool) {}
 
 /// A rank's handle to the simulated job. Passed by value to the rank body
 /// closure by [`run_mpi`]; the body moves it into its `async` block.
@@ -278,9 +144,6 @@ pub struct Rank {
     flips: Vec<SimTime>,
     /// Flips already consumed by [`Rank::poll_bit_flip`].
     flips_seen: usize,
-    /// On a sharded run: this rank's shard index and the run's cross-shard
-    /// routing state. `None` on a serial run.
-    shard: Option<(u16, Arc<ShardCtx>)>,
 }
 
 /// Result of a completed job.
@@ -299,47 +162,6 @@ pub struct MpiRun<R> {
     /// Engine events dispatched by the run (the simulation-cost currency the
     /// network models trade in; `scale_bench` reports events/sec from this).
     pub events: u64,
-    /// DES engines the job actually executed on: the shard count for a
-    /// windowed run, 1 for the serial engine — including when a sharded
-    /// attempt was condemned by the exactness guard and recovered serially
-    /// (see `crate::shard`).
-    pub shards: u32,
-    /// `Some` when a sharded attempt was condemned by the exactness guard
-    /// and the job was recovered on one engine — how, why, and what it
-    /// cost. `None` for every run that completed on its first schedule.
-    pub recovery: Option<RecoveryStats>,
-}
-
-/// How a condemned sharded run was recovered (see [`MpiRun::recovery`]).
-///
-/// Under checkpoint rollback (the default) the condemned attempt aborts at
-/// the condemnation barrier and a single serial engine replays the job,
-/// re-certifying each recorded window checkpoint against the live world
-/// hash as it passes — the serial bytes are
-/// authoritative either way (a hash mismatch only stops the certification
-/// count; it cannot change results). Under the legacy wind-down path
-/// ([`set_default_condemn_winddown`]) the condemned schedule is simulated
-/// to its wound-down end and the job rerun from scratch, with
-/// `windows_recorded == windows_verified == 0`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RecoveryStats {
-    /// Why the exactness guard condemned the windowed schedule.
-    pub reason: CondemnReason,
-    /// 1-based window at which the run was condemned (the first unverified
-    /// window), or the final window count on the legacy wind-down path.
-    pub condemned_window: u64,
-    /// Verified window checkpoints the condemned attempt had recorded.
-    pub windows_recorded: u64,
-    /// Recovery-replay barriers whose world hash matched the recorded
-    /// checkpoint (equal to `windows_recorded` unless verification failed
-    /// closed part-way).
-    pub windows_verified: u64,
-    /// Engine events the condemned attempt dispatched before it stopped.
-    pub condemned_events: u64,
-    /// Host wall-clock time of the condemned sharded attempt.
-    pub condemned_wall: std::time::Duration,
-    /// Host wall-clock time of the serial recovery (replay + tail).
-    pub recovery_wall: std::time::Duration,
 }
 
 impl<R> MpiRun<R> {
@@ -396,35 +218,9 @@ where
     Fut: Future<Output = R> + Send + 'static,
 {
     spec.validate().map_err(MpiFault::InvalidSpec)?;
-    // All process-global defaults are snapshotted here, before any shard
-    // thread exists: a concurrent `set_default_*` cannot affect this job.
-    let requested_shards = spec.shards.unwrap_or_else(default_shards);
-    let budget = spec.event_budget.or_else(default_event_budget);
-    let tracer = default_tracer();
+    let mut engine =
+        Engine::new().with_event_budget(spec.event_budget.or_else(default_event_budget));
     let world = Arc::new(World::new(spec));
-    if requested_shards > 1 && tracer.is_none() {
-        if let Some((partition, lookahead)) = shard_plan(&world, requested_shards) {
-            return run_mpi_sharded(world, budget, partition, lookahead, body);
-        }
-    }
-    run_mpi_serial(world, budget, tracer, body)
-}
-
-/// The single-engine path (and the fallback for shard-ineligible jobs).
-/// `tracer` is the caller's snapshot of the process-wide default (a mid-run
-/// `set_default_tracer` must not affect a job that already started).
-fn run_mpi_serial<R, F, Fut>(
-    world: Arc<World>,
-    budget: Option<u64>,
-    tracer: Option<Arc<dyn Tracer>>,
-    body: F,
-) -> Result<MpiRun<R>, MpiFault>
-where
-    R: Send + 'static,
-    F: Fn(Rank) -> Fut,
-    Fut: Future<Output = R> + Send + 'static,
-{
-    let mut engine = Engine::new().with_event_budget(budget);
     // Under a model-checking run (see `des::mc`), wire the thread's
     // controller into this engine: it arbitrates delivery orderings and
     // message drops, and hashes the world's message state for
@@ -436,42 +232,20 @@ where
         let world_for_probe = Arc::clone(&world);
         ctl.set_state_probe(move |now| world_for_probe.mc_state_hash(now));
     }
-    if let Some(tracer) = mc.as_ref().and_then(|c| c.tracer()).or(tracer) {
+    if let Some(tracer) = mc.as_ref().and_then(|c| c.tracer()).or_else(default_tracer) {
         engine.set_tracer(tracer);
     }
-    run_on_one_engine(&world, engine, &body, Engine::run)
+    let results = spawn_ranks(&mut engine, &world, &body);
+    let report = engine.run().map_err(|e| world.take_fault(e))?;
+    Ok(collect_run(&world, results, report))
 }
 
 /// Per-rank result slots, filled as each rank's future completes.
 type Results<R> = Arc<Mutex<Vec<Option<R>>>>;
 
-/// Run every rank of `world` on `engine`, which `drive` runs to its end, and
-/// collect the finished run (the serial and recovery paths).
-fn run_on_one_engine<R, F, Fut>(
-    world: &Arc<World>,
-    mut engine: Engine,
-    body: &F,
-    drive: impl FnOnce(Engine) -> Result<des::RunReport, des::SimError>,
-) -> Result<MpiRun<R>, MpiFault>
-where
-    R: Send + 'static,
-    F: Fn(Rank) -> Fut,
-    Fut: Future<Output = R> + Send + 'static,
-{
-    let results = spawn_ranks(std::slice::from_mut(&mut engine), world, body, None);
-    let report = drive(engine).map_err(|e| world.take_fault(e))?;
-    collect_run(world, results, report.end_time, report.events, 1)
-}
-
-/// Spawn every rank of `world` as an event-driven process, all on
-/// `engines[0]` or, on a sharded run, each on its shard's engine. This is
-/// the one place a [`Rank`] is built. Returns the ranks' result slots.
-fn spawn_ranks<R, F, Fut>(
-    engines: &mut [Engine],
-    world: &Arc<World>,
-    body: &F,
-    shards: Option<&Arc<ShardCtx>>,
-) -> Results<R>
+/// Spawn every rank of `world` as an event-driven process on `engine` and
+/// return the ranks' result slots.
+fn spawn_ranks<R, F, Fut>(engine: &mut Engine, world: &Arc<World>, body: &F) -> Results<R>
 where
     R: Send + 'static,
     F: Fn(Rank) -> Fut,
@@ -479,8 +253,6 @@ where
 {
     let results: Results<R> = Arc::new(Mutex::new((0..world.spec.ranks).map(|_| None).collect()));
     for r in 0..world.spec.ranks {
-        let shard = shards.map(|ctx| (ctx.shard_of_rank[r as usize], Arc::clone(ctx)));
-        let engine = &mut engines[shard.as_ref().map_or(0, |(s, _)| *s as usize)];
         let pid = engine.spawn_process(format!("rank{r}"), |ctx| {
             let node = world.spec.node_of(r);
             let plan = &world.spec.fault_plan;
@@ -492,7 +264,6 @@ where
                 crash_at: plan.crash_time(node),
                 flips: plan.bit_flips(node).collect(),
                 flips_seen: 0,
-                shard,
             };
             let fut = body(rank);
             let results = Arc::clone(&results);
@@ -506,249 +277,8 @@ where
     results
 }
 
-/// Whether (and how) a job can shard: the partition of its used nodes and
-/// the conservative window lookahead. `None` falls back to the serial
-/// engine. Eligibility requires the event network model, a clean fault
-/// plan, identity placement with one rank per node, no model-checking
-/// controller (it observes a global event order that windowed execution
-/// does not reproduce; the caller already ruled out a default tracer for
-/// the same reason), and a partition whose intra-shard routes share no
-/// links with another shard's (so in-window link reservations commute —
-/// see `crate::shard`).
-fn shard_plan(world: &World, requested: u32) -> Option<(Partition, SimTime)> {
-    let spec = &world.spec;
-    let eligible = world.net_model == NetModel::Event
-        && spec.fault_plan.is_empty()
-        && spec.node_map.is_none()
-        && spec.ranks_per_node == 1
-        && des::mc::current().is_none();
-    if !eligible {
-        return None;
-    }
-    // One rank per node with identity placement: used nodes == ranks.
-    let used_nodes = spec.ranks;
-    let partition = Partition::contiguous(used_nodes, requested.min(used_nodes))?;
-    let st = world.state.lock();
-    if !st.net.partition_isolates_links(&partition) {
-        return None;
-    }
-    let lookahead = st.net.min_cross_partition_latency(&partition);
-    drop(st);
-    (lookahead > SimTime::ZERO).then_some((partition, lookahead))
-}
-
-/// The sharded path: ranks partitioned across N engines advancing in
-/// conservative time windows (`des::ShardedEngine`), cross-shard messages
-/// replayed at window barriers (`crate::shard`). Byte-identical to
-/// [`run_mpi_serial`] by construction; `tests/determinism.rs` pins it.
-fn run_mpi_sharded<R, F, Fut>(
-    world: Arc<World>,
-    budget: Option<u64>,
-    partition: Partition,
-    lookahead: SimTime,
-    body: F,
-) -> Result<MpiRun<R>, MpiFault>
-where
-    R: Send + 'static,
-    F: Fn(Rank) -> Fut,
-    Fut: Future<Output = R> + Send + 'static,
-{
-    let nshards = partition.shards() as usize;
-    let shard_of_rank: Vec<u16> =
-        (0..world.spec.ranks).map(|r| partition.shard_of(world.spec.node_of(r)) as u16).collect();
-    let shard_ctx = Arc::new(ShardCtx::new(shard_of_rank, nshards));
-    // Arm the link reservation-order guard: if the windowed schedule ever
-    // touches a link out of the serial engine's order (tightly-cascading
-    // cross-boundary traffic can — see `crate::shard`), or a wildcard
-    // receive observes mailbox arrival order, the guard trips and the whole
-    // job is redone on one engine below. `--shards` is a wall-clock lever,
-    // never a semantics lever.
-    world.state.lock().net.guard_reservations();
-    // Each shard carries the full event budget: the watchdog exists to
-    // bound runaway event chains, and any single shard spinning alone hits
-    // it at the same count the serial engine would.
-    let mut engines: Vec<Engine> =
-        (0..nshards).map(|_| Engine::new().with_event_budget(budget)).collect();
-    // All rank futures are created here, on the caller's thread, before the
-    // engines move to their worker threads — `body` needs no `Sync` bound.
-    let results = spawn_ranks(&mut engines, &world, &body, Some(&shard_ctx));
-    // Snapshot the checkpoint/recovery defaults (same once-at-start rule as
-    // every other process-global default) and resolve the job's on-disk
-    // checkpoint file: named by the spec fingerprint, so concurrent sweeps
-    // of distinct cells sharing a directory never collide, and a stale file
-    // from a different job can never certify this one's replay.
-    let ckpt_every = world.spec.ckpt_every.or_else(default_ckpt_every);
-    let ckpt_dir = world.spec.ckpt_dir.clone().or_else(default_ckpt_dir);
-    let winddown = default_condemn_winddown();
-    let condemn_at = world.spec.condemn_at_window;
-    let fingerprint = spec_fingerprint(&world.spec);
-    let path = ckpt_dir.map(|dir| dir.join(format!("job_{fingerprint:016x}.ckpt")));
-    let resume = path.as_deref().and_then(des::JobCkpt::load);
-    let policy = des::CkptPolicy { every: ckpt_every.unwrap_or(0), path, fingerprint, resume };
-
-    let world_for_exchange = Arc::clone(&world);
-    let ctx_for_exchange = Arc::clone(&shard_ctx);
-    let world_for_hash = Arc::clone(&world);
-    let attempt_start = std::time::Instant::now();
-    let run = des::ShardedEngine::new(engines, lookahead).with_ckpt(policy).run(
-        move |wakers, window| {
-            if condemn_at == Some(window) {
-                // Deterministic condemnation for tests and the recovery
-                // ablation: trip the guard at this barrier exactly where an
-                // organic trip would be observed.
-                world_for_exchange.state.lock().net.guard_trip(CondemnReason::Forced);
-            }
-            apply_cross_packets(&world_for_exchange, &ctx_for_exchange, wakers, winddown)
-        },
-        move || world_for_hash.ckpt_state_hash(),
-    );
-    let attempt_wall = attempt_start.elapsed();
-    CKPTS_WRITTEN.fetch_add(run.ckpts_written, Ordering::Relaxed);
-    if run.resume_verified {
-        RESUME_VERIFIED_RUNS.fetch_add(1, Ordering::Relaxed);
-    }
-    if run.abort.is_some() || world.state.lock().net.guard_tripped() {
-        // The guard condemned the windowed schedule. Under rollback the
-        // attempt aborted at the condemnation barrier with its verified
-        // checkpoint log intact; under the legacy wind-down it limped to a
-        // stalled or wound-down end and recorded nothing. Either way the
-        // attempt's bytes are discarded and one engine recovers the job
-        // under the same snapshotted defaults (the spec pins the world's
-        // net model; eligibility already required no tracer).
-        let reason = world
-            .state
-            .lock()
-            .net
-            .guard_condemn_reason()
-            .expect("condemned run lost its guard reason");
-        let condemned_window = run.abort.as_ref().map_or(run.windows, |a| a.window);
-        let condemned_events = run.abort.as_ref().map_or(run.report.events, |a| a.events);
-        CONDEMNED_RUNS.fetch_add(1, Ordering::Relaxed);
-        CONDEMNED_EVENTS.fetch_add(condemned_events, Ordering::Relaxed);
-        CONDEMNED_WALL_US.fetch_add(attempt_wall.as_micros() as u64, Ordering::Relaxed);
-        // The legacy path keeps winding the corrupted schedule down past the
-        // trip, so its later checkpoints hash dropped-packet state — discard
-        // the whole log and rerun plain (that full cost is what it ablates).
-        let ckpts = if winddown { des::CkptLog::new() } else { run.ckpts };
-        let stats = RecoveryStats {
-            reason,
-            condemned_window,
-            windows_recorded: ckpts.len() as u64,
-            windows_verified: 0,
-            condemned_events,
-            condemned_wall: attempt_wall,
-            recovery_wall: std::time::Duration::ZERO,
-        };
-        return run_mpi_recover(&world, budget, ckpts, stats, body);
-    }
-    if let Err(e) = run.result {
-        return Err(world.take_fault(e));
-    }
-    collect_run(&world, results, run.report.end_time, run.report.events, nshards as u32)
-}
-
-/// Fingerprint of everything about a [`JobSpec`] that shapes its simulated
-/// bytes. Stamped into on-disk checkpoints ([`des::JobCkpt`]) and used to
-/// name the checkpoint file; the checkpoint/recovery knobs themselves
-/// (`ckpt_every`, `ckpt_dir`, `condemn_at_window`) are cleared first — they
-/// steer persistence and condemnation, never results, so changing them must
-/// not orphan a resumable checkpoint.
-fn spec_fingerprint(spec: &JobSpec) -> u64 {
-    let mut canon = spec.clone();
-    canon.ckpt_every = None;
-    canon.ckpt_dir = None;
-    canon.condemn_at_window = None;
-    let repr = format!("{canon:?}");
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in repr.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Serial recovery of a condemned sharded run.
-///
-/// Pinned rank futures cannot be serialised, so deterministic re-execution
-/// *is* the restoration mechanism: one engine replays the job from the
-/// start, re-running each recorded window (`Engine::run_window` to the
-/// checkpoint's end time) and comparing the live world hash against the
-/// checkpoint's — every match re-certifies that the condemned attempt's
-/// prefix was byte-identical to the serial schedule, so condemnation cost
-/// only the unverified suffix plus this replay. Verification fails closed:
-/// a mismatch stops the certification count but cannot change results —
-/// the serial bytes are authoritative throughout.
-fn run_mpi_recover<R, F, Fut>(
-    condemned: &World,
-    budget: Option<u64>,
-    ckpts: des::CkptLog,
-    mut stats: RecoveryStats,
-    body: F,
-) -> Result<MpiRun<R>, MpiFault>
-where
-    R: Send + 'static,
-    F: Fn(Rank) -> Fut,
-    Fut: Future<Output = R> + Send + 'static,
-{
-    let recovery_start = std::time::Instant::now();
-    let mut spec = condemned.spec.clone();
-    spec.net_model = Some(condemned.net_model);
-    let world = Arc::new(World::new(spec));
-    let mut verified = 0u64;
-    let engine = Engine::new().with_event_budget(budget);
-    let mut out = run_on_one_engine(&world, engine, &body, |mut engine| {
-        for ck in ckpts.iter() {
-            if let Err(e) = engine.run_window(ck.end) {
-                return Err(annotate_recovery_error(e, verified, &ckpts));
-            }
-            if world.ckpt_state_hash() != ck.world_hash {
-                // Fail closed: this and every later checkpoint stays
-                // uncertified, and the replay simply continues as a plain
-                // serial run.
-                break;
-            }
-            verified += 1;
-        }
-        engine.run().map_err(|e| annotate_recovery_error(e, verified, &ckpts))
-    })?;
-    stats.windows_verified = verified;
-    stats.recovery_wall = recovery_start.elapsed();
-    RECOVERY_WINDOWS_RECORDED.fetch_add(stats.windows_recorded, Ordering::Relaxed);
-    RECOVERY_WINDOWS_VERIFIED.fetch_add(verified, Ordering::Relaxed);
-    RECOVERY_WALL_US.fetch_add(stats.recovery_wall.as_micros() as u64, Ordering::Relaxed);
-    out.recovery = Some(stats);
-    Ok(out)
-}
-
-/// Tag a recovery-replay failure's process diagnostics with the replay
-/// context (how many checkpoints were re-certified out of how many
-/// recorded), mirroring `des`'s shard-aware deadlock annotations.
-fn annotate_recovery_error(e: des::SimError, verified: u64, ckpts: &des::CkptLog) -> des::SimError {
-    let tag = |names: Vec<String>| {
-        names
-            .into_iter()
-            .map(|n| format!("{n} [recovery replay, verified ckpt {verified} of {}]", ckpts.len()))
-            .collect()
-    };
-    match e {
-        des::SimError::Deadlock { at, parked } => {
-            des::SimError::Deadlock { at, parked: tag(parked) }
-        }
-        des::SimError::EventBudgetExhausted { at, events, budget, parked } => {
-            des::SimError::EventBudgetExhausted { at, events, budget, parked: tag(parked) }
-        }
-        other => other,
-    }
-}
-
 /// Collect a finished run's per-rank tallies and results into an [`MpiRun`].
-fn collect_run<R>(
-    world: &World,
-    results: Results<R>,
-    elapsed: SimTime,
-    events: u64,
-    shards: u32,
-) -> Result<MpiRun<R>, MpiFault> {
+fn collect_run<R>(world: &World, results: Results<R>, report: des::RunReport) -> MpiRun<R> {
     let mut st = world.state.lock();
     let compute_busy = st.ranks.iter().map(|r| r.compute_busy).collect();
     let comm_busy = st.ranks.iter().map(|r| r.comm_busy).collect();
@@ -760,7 +290,14 @@ fn collect_run<R>(
         .into_iter()
         .map(|o| o.expect("rank did not produce a result"))
         .collect();
-    Ok(MpiRun { elapsed, results, compute_busy, comm_busy, net, events, shards, recovery: None })
+    MpiRun {
+        elapsed: report.end_time,
+        results,
+        compute_busy,
+        comm_busy,
+        net,
+        events: report.events,
+    }
 }
 
 impl Rank {
@@ -871,29 +408,6 @@ impl Rank {
 
     fn tally_comm(&self, dt: SimTime) {
         self.world.state.lock().ranks[self.rank as usize].comm_busy += dt;
-    }
-
-    /// Whether `peer` runs on a different engine shard (always false on a
-    /// serial run).
-    fn cross_shard(&self, peer: u32) -> bool {
-        self.shard.as_ref().is_some_and(|(me, ctx)| ctx.shard_of_rank[peer as usize] != *me)
-    }
-
-    /// Buffer a cross-shard packet in this rank's shard's outbox for the
-    /// next window barrier.
-    fn push_packet(&self, packet: Packet) {
-        let (me, ctx) = self.shard.as_ref().expect("cross-shard packet on a serial run");
-        ctx.push(*me, packet);
-    }
-
-    /// Stamp this rank's shard as the source stream of the link
-    /// reservations the caller is about to make (see
-    /// `Network::guard_reservations`). No-op on a serial run, where no
-    /// guard is armed.
-    fn stamp_guard_source(&self, st: &mut crate::world::WorldState) {
-        if let Some((me, _)) = &self.shard {
-            st.net.guard_source(*me as u32);
-        }
     }
 
     /// Record `fault` as the run's outcome (first one wins) and unwind this
@@ -1007,29 +521,16 @@ impl Rank {
         let bytes = msg.bytes;
         let src_node = world.spec.node_of(self.rank);
         let dst_node = world.spec.node_of(dst);
-        // A cross-shard destination's mailbox, engine, and links cannot be
-        // touched mid-window; the interaction is captured as a packet and
-        // replayed at the window barrier instead (see `crate::shard`). The
-        // shard planner guarantees no loss windows, tracer, or
-        // model-checking controller on this path.
-        let cross = self.cross_shard(dst);
 
         if proto.needs_rendezvous(bytes) {
             // RTS: a minimal frame to the receiver.
             let (depart, src, sender_pid) = (self.ctx.now(), self.rank, self.ctx.pid());
-            if cross {
-                self.push_packet(Packet::Rts { depart, src, dst, tag, msg, sender_pid });
-            } else {
-                let wake = {
-                    let mut st = world.state.lock();
-                    self.stamp_guard_source(&mut st);
-                    world.enqueue_rts(&mut st, depart, src, dst, tag, msg, sender_pid)
-                };
-                self.emit_trace(TraceEvent::MsgEnqueue { src, dst, tag, bytes });
-                self.mc_touch_delivery(dst, src_node, dst_node);
-                if let Some((pid, at)) = wake {
-                    self.ctx.wake_at(pid, at);
-                }
+            let wake =
+                world.enqueue_rts(&mut world.state.lock(), depart, src, dst, tag, msg, sender_pid);
+            self.emit_trace(TraceEvent::MsgEnqueue { src, dst, tag, bytes });
+            self.mc_touch_delivery(dst, src_node, dst_node);
+            if let Some((pid, at)) = wake {
+                self.ctx.wake_at(pid, at);
             }
             // Wait until the receiver completes the transfer and wakes us
             // (bounded by our own crash and the per-message timeout).
@@ -1062,25 +563,14 @@ impl Rank {
         }
 
         let (depart, src) = (self.ctx.now(), self.rank);
-        if cross {
-            // Wire reservation, enqueue, and pending-receive wake are
-            // deferred to the barrier; the sender's own injection cost is
-            // purely local and advances inline, exactly as below.
-            self.push_packet(Packet::Eager { depart, src, dst, tag, msg });
-        } else {
-            let wake = {
-                let mut st = world.state.lock();
-                self.stamp_guard_source(&mut st);
-                world.enqueue_eager(&mut st, depart, src, dst, tag, msg)
-            };
-            self.emit_trace(TraceEvent::MsgEnqueue { src, dst, tag, bytes });
-            self.mc_touch_delivery(dst, src_node, dst_node);
-            if let Some((pid, at)) = wake {
-                self.ctx.wake_at(pid, at);
-            }
-            if self.tracing() && world.rides_flow(src_node, dst_node) {
-                self.emit_trace(TraceEvent::FlowStart { src, dst, bytes });
-            }
+        let wake = world.enqueue_eager(&mut world.state.lock(), depart, src, dst, tag, msg);
+        self.emit_trace(TraceEvent::MsgEnqueue { src, dst, tag, bytes });
+        self.mc_touch_delivery(dst, src_node, dst_node);
+        if let Some((pid, at)) = wake {
+            self.ctx.wake_at(pid, at);
+        }
+        if self.tracing() && world.rides_flow(src_node, dst_node) {
+            self.emit_trace(TraceEvent::FlowStart { src, dst, bytes });
         }
         // The sender's CPU is busy injecting the payload.
         let injection = world.injection(bytes);
@@ -1106,13 +596,6 @@ impl Rank {
         self.phase_begin("recv");
         let world = Arc::clone(&self.world);
         let proto = world.spec.proto;
-        // A wildcard receive matches on mailbox arrival order, which a
-        // windowed run reorders around barriers; the link guard cannot see
-        // that dependence, so condemn the schedule explicitly (the job is
-        // then redone serially — see `run_mpi_sharded`).
-        if self.shard.is_some() && (src.is_none() || tag.is_none()) {
-            world.state.lock().net.guard_trip(netsim::CondemnReason::WildcardRecv);
-        }
         let filter = (src, tag);
         // The timeout (when the retry policy sets one) is absolute from the
         // moment the receive was posted, not re-armed per park.
@@ -1439,39 +922,26 @@ impl Rank {
         self.advance_to_or_die(rts_arrival).await;
         self.advance_comm_or_die(o_r).await;
 
-        if self.cross_shard(src) {
-            // The CTS rides the reverse path — the sender's shard's links —
-            // so the whole CTS/bulk-transfer timing resolves at the window
-            // barrier (see `crate::shard`). Park until the applier wakes us
-            // at the bulk data's arrival; it wakes the sender too.
-            let (at, receiver_pid) = (self.ctx.now(), self.ctx.pid());
-            self.push_packet(Packet::RdvComplete { at, src, dst, bytes, sender_pid, receiver_pid });
-            self.ctx.park().await;
-        } else {
-            let bulk = {
-                let mut st = world.state.lock();
-                self.stamp_guard_source(&mut st);
-                world.complete_rendezvous(&mut st, self.ctx.now(), src, dst, bytes)
-            };
-            let bulk = bulk.unwrap_or_else(|RetriesExhausted { at, attempts }| {
-                self.die(MpiFault::Timeout { rank: dst, peer: Some(src), at, attempts })
-            });
-            if self.tracing() {
-                for attempt in 1..=bulk.drops {
-                    self.emit_trace(TraceEvent::MsgDrop { src, dst, attempt });
-                }
+        let bulk =
+            world.complete_rendezvous(&mut world.state.lock(), self.ctx.now(), src, dst, bytes);
+        let bulk = bulk.unwrap_or_else(|RetriesExhausted { at, attempts }| {
+            self.die(MpiFault::Timeout { rank: dst, peer: Some(src), at, attempts })
+        });
+        if self.tracing() {
+            for attempt in 1..=bulk.drops {
+                self.emit_trace(TraceEvent::MsgDrop { src, dst, attempt });
             }
-            self.ctx.wake_at(sender_pid, bulk.sender_done);
-            match bulk.data {
-                BulkData::Arrives(at) => self.advance_to_or_die(at).await,
-                BulkData::Flow(id, extra) => {
-                    if self.tracing() {
-                        self.emit_trace(TraceEvent::FlowStart { src, dst, bytes });
-                    }
-                    self.await_flow(id, extra).await;
-                    if self.tracing() {
-                        self.emit_trace(TraceEvent::FlowFinish { src, dst, bytes });
-                    }
+        }
+        self.ctx.wake_at(sender_pid, bulk.sender_done);
+        match bulk.data {
+            BulkData::Arrives(at) => self.advance_to_or_die(at).await,
+            BulkData::Flow(id, extra) => {
+                if self.tracing() {
+                    self.emit_trace(TraceEvent::FlowStart { src, dst, bytes });
+                }
+                self.await_flow(id, extra).await;
+                if self.tracing() {
+                    self.emit_trace(TraceEvent::FlowFinish { src, dst, bytes });
                 }
             }
         }

@@ -81,43 +81,6 @@ fn traced_run_produces_byte_identical_artefacts() {
 }
 
 #[test]
-fn sharded_runs_produce_byte_identical_artefacts() {
-    // The sharded-engine invariant at the artefact level: fig7 (ping-pong
-    // cells spawning real simmpi engines) and the HPL headline rendered
-    // under `--shards 2` and `--shards 4` must be byte-identical — text and
-    // JSON — to the serial engine, which the golden tests in turn pin
-    // against the checked-in pre-shard goldens. The sharded runs go first
-    // so the process-wide timing cache cannot satisfy their cells without
-    // spawning engines (the traced-run test's discipline); `ci.sh`
-    // re-proves the same identity at the `repro --shards` binary level,
-    // where every cache starts cold. Cells whose jobs are ineligible for
-    // sharding fall back to the serial engine — that fallback being
-    // invisible is part of the contract under test.
-    let mk = || RunPlan::from_items(&items(&["fig7", "hpl"]), &RunScales::golden());
-    let mut sharded = Vec::new();
-    for n in [2u32, 4] {
-        simmpi::set_default_shards(Some(n));
-        sharded.push((n, run_supervised(mk(), &SweepConfig::serial()).0));
-    }
-    simmpi::set_default_shards(None);
-    let (serial, _) = run_supervised(mk(), &SweepConfig::serial());
-
-    for (n, arts) in &sharded {
-        assert_eq!(serial.len(), arts.len());
-        for (a, b) in serial.iter().zip(arts) {
-            assert_eq!(a.key, b.key, "artefact order diverged at {n} shards");
-            assert_eq!(a.blocks, b.blocks, "{}: rendered text diverged at {n} shards", a.key);
-            assert_eq!(
-                a.json.as_ref().map(|(_, j)| j),
-                b.json.as_ref().map(|(_, j)| j),
-                "{}: JSON bytes diverged at {n} shards",
-                a.key
-            );
-        }
-    }
-}
-
-#[test]
 fn mc_counterexample_replays_are_byte_identical() {
     // The model checker's counterexamples must be deterministic artefacts:
     // two independent bounded searches over the broken-retry fixture find

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use socready::kernels::msort::{self, MsortConfig};
 use socready::mpi::{run_mpi, JobSpec, Msg, ReduceOp};
-use socready::net::{Network, Partition, TopologySpec};
+use socready::net::{Network, TopologySpec};
 use socready::prelude::*;
 
 proptest! {
@@ -63,108 +63,6 @@ proptest! {
             prop_assert!(arr >= last_arrival, "FIFO violated");
             last_arrival = arr;
             depart += socready::des::SimTime::from_micros(5);
-        }
-    }
-
-    /// The sharded runner's lookahead is sound: for any topology and any
-    /// contiguous partition, `min_cross_partition_latency` never exceeds
-    /// the head latency of ANY cross-shard path. (The conservative window
-    /// protocol rests on this: a message emitted inside a window cannot
-    /// take effect on another shard before `window_end = t_min +
-    /// lookahead`, so barrier-applied wakes never travel into a shard's
-    /// past.)
-    #[test]
-    fn shard_lookahead_lower_bounds_every_cross_shard_latency(
-        topo_idx in 0usize..4,
-        used in 2u32..64,
-        shards in 2u32..6,
-    ) {
-        let spec = match topo_idx {
-            0 => TopologySpec::Star { nodes: 64 },
-            1 => TopologySpec::Tree { edges: 4, nodes_per_edge: 16, uplinks_per_edge: 2 },
-            2 => TopologySpec::Tree { edges: 2, nodes_per_edge: 32, uplinks_per_edge: 4 },
-            _ => TopologySpec::tibidabo(),
-        };
-        prop_assume!(used <= spec.nodes() && shards <= used);
-        let p = Partition::contiguous(used, shards).expect("2 <= shards <= used");
-        let net = Network::gbe(spec);
-        let lookahead = net.min_cross_partition_latency(&p);
-        prop_assert!(lookahead > socready::des::SimTime::ZERO);
-        for src in 0..used {
-            for dst in 0..used {
-                if src != dst && p.shard_of(src) != p.shard_of(dst) {
-                    let lat = net.path_latency(src, dst);
-                    prop_assert!(
-                        lat >= lookahead,
-                        "path {src}->{dst} has latency {lat:?} below the lookahead {lookahead:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Window-checkpoint rollback is invisible in the bytes: for any
-    /// topology, rank count, shard count and condemnation window, a sharded
-    /// run whose schedule is condemned mid-flight (forced guard trip at an
-    /// arbitrary barrier) recovers to exactly the serial reference —
-    /// results, event count and virtual elapsed time — and every window
-    /// checkpoint the condemned attempt recorded re-certifies during the
-    /// recovery replay. Ineligible or never-condemned draws degenerate to
-    /// the plain shard bit-identity property, which must also hold.
-    #[test]
-    fn condemned_sharded_runs_recover_byte_identically(
-        topo_idx in 0usize..4,
-        half in 2u32..9,
-        rounds in 2u32..7,
-        shards in 2u32..5,
-        condemn_at in 1u64..6,
-    ) {
-        let topo = match topo_idx {
-            0 => TopologySpec::Star { nodes: 32 },
-            1 => TopologySpec::Tree { edges: 4, nodes_per_edge: 8, uplinks_per_edge: 2 },
-            2 => TopologySpec::Tree { edges: 2, nodes_per_edge: 16, uplinks_per_edge: 4 },
-            _ => TopologySpec::tibidabo(),
-        };
-        let ranks = 2 * half;
-        prop_assume!(ranks <= topo.nodes() && shards <= ranks);
-        let spec = |shards: Option<u32>, condemn: Option<u64>| {
-            JobSpec::new(Platform::tegra2(), ranks)
-                .with_topology(topo)
-                .with_shards(shards)
-                .with_condemn_at_window(condemn)
-        };
-        let body = move |mut r: Rank| async move {
-            let me = r.rank();
-            let half = r.size() / 2;
-            let mirror = (me + half) % r.size();
-            let mut acc = me as u64;
-            for round in 0..rounds {
-                r.compute_secs(1e-6).await;
-                let payload = Msg::from_u64s(&[acc, round as u64]);
-                if me < half {
-                    r.send(mirror, round, payload).await;
-                    acc = acc.wrapping_add(r.recv(mirror, round).await.to_u64s()[0]);
-                } else {
-                    acc = acc.wrapping_add(r.recv(mirror, round).await.to_u64s()[0]);
-                    r.send(mirror, round, payload).await;
-                }
-            }
-            acc
-        };
-        let serial = run_mpi(spec(None, None), body).unwrap();
-        let condemned = run_mpi(spec(Some(shards), Some(condemn_at)), body).unwrap();
-        prop_assert_eq!(&condemned.results, &serial.results);
-        prop_assert_eq!(condemned.events, serial.events);
-        prop_assert_eq!(condemned.elapsed, serial.elapsed);
-        if let Some(rec) = &condemned.recovery {
-            // The exactness guard may condemn the schedule for its own
-            // reasons before the forced barrier; only a Forced trip is
-            // pinned to the requested window.
-            if rec.reason == socready::mpi::CondemnReason::Forced {
-                prop_assert_eq!(rec.condemned_window, condemn_at);
-            }
-            // The recovery replay must re-certify every recorded checkpoint.
-            prop_assert_eq!(rec.windows_verified, rec.windows_recorded);
         }
     }
 
@@ -269,73 +167,6 @@ proptest! {
                 prop_assert!(!crash_then_other, "crash ordered before same-instant fault: {w:?}");
             }
         }
-    }
-
-    /// On-disk job checkpoints fail closed under any corruption: whatever
-    /// byte gets flipped, wherever the file is truncated, or whatever is
-    /// appended, the loader rejects the damaged file outright (no partial
-    /// resume) and a fresh run of the same job still produces the original
-    /// results.
-    #[test]
-    fn corrupted_job_checkpoints_fail_closed(
-        mode in 0u8..3,
-        at in 0.0..1.0f64,
-        flip in 1u8..255,
-    ) {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static CASE: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "socready_prop_ckpt_{}_{}",
-            std::process::id(),
-            CASE.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let spec = || {
-            JobSpec::new(Platform::tegra2(), 8)
-                .with_shards(Some(2))
-                .checkpoint_every(Some(1))
-                .with_ckpt_dir(Some(dir.clone()))
-        };
-        let body = move |mut r: Rank| async move {
-            let me = r.rank();
-            let mirror = (me + r.size() / 2) % r.size();
-            let mut acc = me as u64;
-            for round in 0..4u32 {
-                r.compute_secs(1e-6).await;
-                let payload = Msg::from_u64s(&[acc]);
-                if me < r.size() / 2 {
-                    r.send(mirror, round, payload).await;
-                    acc = acc.wrapping_add(r.recv(mirror, round).await.to_u64s()[0]);
-                } else {
-                    acc = acc.wrapping_add(r.recv(mirror, round).await.to_u64s()[0]);
-                    r.send(mirror, round, payload).await;
-                }
-            }
-            acc
-        };
-        let first = run_mpi(spec(), body).unwrap();
-        let ckpt = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .find(|p| p.extension().is_some_and(|x| x == "ckpt"))
-            .expect("sharded run with checkpoint_every must write a .ckpt file");
-        prop_assert!(socready::des::JobCkpt::load(&ckpt).is_some(), "pristine file must load");
-        let mut bytes = std::fs::read(&ckpt).unwrap();
-        let pos = ((at * bytes.len() as f64) as usize).min(bytes.len() - 1);
-        match mode {
-            0 => bytes.truncate(pos),
-            1 => bytes[pos] ^= flip,
-            _ => bytes.extend_from_slice(b"trailing junk"),
-        }
-        std::fs::write(&ckpt, &bytes).unwrap();
-        prop_assert!(
-            socready::des::JobCkpt::load(&ckpt).is_none(),
-            "damaged checkpoint (mode {mode}, pos {pos}) must be rejected outright"
-        );
-        let second = run_mpi(spec(), body).unwrap();
-        prop_assert_eq!(&second.results, &first.results);
-        prop_assert_eq!(second.events, first.events);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Merge sort sorts any input (exercised through the kernels crate's
